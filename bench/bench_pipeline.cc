@@ -28,17 +28,16 @@
 // a deterministic ~50% of the handles cancelled mid-flight — survivors must
 // stay byte-identical to serial (cancellation never perturbs its neighbors).
 //
-// And a contended tail-latency A/B (ISSUE 9): every worker starts on a hot
+// And a contended tail-latency gate: every worker starts on a hot
 // config whose first synthesis is fault-stalled for a long beat, with
-// independent background traffic queued behind, run once under the
-// parked-waiter scheduler (defer_inflight=false) and once under the
-// deferral-aware one. Parked workers sleep through the stall and the
-// background requests inherit it as queueing delay; deferring workers run
-// that traffic during the stall. The deferred run must park no pool thread
-// (waiter_parks == 0), actually defer (deferred_lookups > 0), stay
-// byte-identical to serial, and land a strictly lower exact client-side p99
-// than the parked baseline. Exact per-request latencies (sorted, rank-based)
-// feed the gate — histogram buckets are too coarse for a strict comparison.
+// independent background traffic queued behind. Deferring workers run that
+// traffic during the stall instead of sleeping through it, so the stall
+// must not stack onto the queue: the run must actually defer
+// (deferred_lookups > 0), stay byte-identical to serial, and keep its exact
+// client-side p99 within an absolute bound — the stall, plus the p99 of the
+// same request mix measured uncontended (stall disarmed) in the same run,
+// plus a fixed slack. Exact per-request latencies (sorted, rank-based) feed
+// the gate — histogram buckets are too coarse for it.
 //
 // And a sharded scale-out gate (ISSUE 10): the grid split by index across 2
 // worker services behind an in-process cache plane (a PlannerServer in
@@ -252,9 +251,9 @@ VariantResult RunGridMultiTenant(const std::vector<p2::topology::Cluster>& clust
   return v;
 }
 
-// The contended tail-latency A/B (ISSUE 9). The scenario isolates the one
-// structural difference between the two schedulers: what a pool thread does
-// while a signature it needs is being synthesized by someone else.
+// The contended tail-latency scenario. It isolates what a pool
+// thread does while a signature it needs is being synthesized by someone
+// else.
 //
 //   - `copies` copies of the grid's FIRST config go in first — at least as
 //     many as there are threads, so every worker starts on the hot config.
@@ -264,41 +263,43 @@ VariantResult RunGridMultiTenant(const std::vector<p2::topology::Cluster>& clust
 //   - Two copies each of the remaining configs queue behind as independent
 //     background traffic.
 //
-// Parked baseline: the non-owner workers block inside GetOrSynthesize for
-// the whole stall, the background requests wait for the wake-up, and their
-// queueing delay lands on the tail. Deferral: the same workers register
-// continuations and run the background requests DURING the stall, so the
-// tail is the stall itself, not the stall plus everything behind it. That
-// ordering — not a throughput delta — is what the strict p99 gate checks.
+// The non-owner workers register continuations and run the background
+// requests DURING the stall, so the tail is the stall itself, not the stall
+// plus everything queued behind it. A scheduler that parked those workers
+// would instead add the background requests' service time on top.
 //
 // One collector thread per handle records the exact submit→complete latency
 // the moment its request resolves; the p50/p99 are rank-based over the
-// sorted exact samples (the strict deferred-vs-parked gate needs finer
-// resolution than the service histogram's log2 buckets).
+// sorted exact samples (the gate needs finer resolution than the service
+// histogram's log2 buckets). With `stall` false the hook stays disarmed:
+// the same mix on a fresh service, the uncontended reference.
+constexpr int kContendedStallMs = 500;
+/// Allowance on top of stall + uncontended p99 for scheduling noise. Over
+/// 10 runs of `bench_pipeline 4` (Release, 4-core x86 Linux), contended
+/// p99 - stall - uncontended p99 ranged from -355 ms to -256 ms; the slack
+/// is that spread's width (99 ms), rounded up.
+constexpr double kContendedSlackMs = 100.0;
+
 struct ContendedResult {
   double p50_seconds = 0.0;
   double p99_seconds = 0.0;
   std::int64_t deferred_lookups = 0;
-  std::int64_t dedup_waits = 0;
-  std::int64_t waiter_parks = 0;
   bool identical = true;  ///< every output byte-identical to serial
 };
 
-ContendedResult RunContended(const Engine& engine, int threads, bool defer,
+ContendedResult RunContended(const Engine& engine, int threads, bool stall,
                              const std::vector<GridConfig>& grid, int copies,
                              const std::vector<ExperimentResult>& serial) {
   ContendedResult r;
-  PlannerServiceOptions options;
-  options.threads = threads;
-  options.defer_inflight = defer;
-  PlannerService service(engine, options);
+  PlannerService service(engine, PlannerServiceOptions{.threads = threads});
   // Armed-once: only the FIRST frontier layer to synthesize stalls — the
   // hot-signature owner. (exchange first, so the sleeping call has already
   // disarmed the hook for everyone else.)
-  auto armed = std::make_shared<std::atomic<bool>>(true);
-  p2::FaultScope stall([armed](std::string_view point) {
+  auto armed = std::make_shared<std::atomic<bool>>(stall);
+  p2::FaultScope stall_hook([armed](std::string_view point) {
     if (point == "synth.layer" && armed->exchange(false)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(500));
+      std::this_thread::sleep_for(
+          std::chrono::milliseconds(kContendedStallMs));
     }
   });
   // `copies` hot requests (grid[0]) first, then two copies of each other
@@ -352,8 +353,6 @@ ContendedResult RunContended(const Engine& engine, int threads, bool defer,
   r.p99_seconds = rank(0.99);
   const auto stats = service.stats();
   r.deferred_lookups = stats.cache.deferred_lookups;
-  r.dedup_waits = stats.cache.dedup_waits;
-  r.waiter_parks = stats.cache.waiter_parks;
   return r;
 }
 
@@ -612,38 +611,38 @@ int main(int argc, char** argv) {
 
   // ISSUE 9 acceptance: under contention (every worker racing on one hot
   // config whose owner is stalled, independent traffic queued behind), the
-  // deferral-aware scheduler must never park a pool thread, must actually
-  // defer, must stay byte-identical to serial, and must beat the
-  // parked-waiter baseline's exact client-side p99 at the same thread count.
+  // scheduler must actually defer, stay byte-identical to serial, and keep
+  // its exact client-side p99 within stall + uncontended p99 + slack.
   constexpr int kContendedThreads = 3;
   constexpr int kContendedCopies = 4;  // hot copies, >= threads
   const int kContendedBackground = 2 * (static_cast<int>(grid.size()) - 1);
-  const auto parked = RunContended(engine, kContendedThreads, /*defer=*/false,
-                                   grid, kContendedCopies, serial_results);
-  const auto deferred = RunContended(engine, kContendedThreads, /*defer=*/true,
-                                     grid, kContendedCopies, serial_results);
+  const auto uncontended =
+      RunContended(engine, kContendedThreads, /*stall=*/false, grid,
+                   kContendedCopies, serial_results);
+  const auto deferred =
+      RunContended(engine, kContendedThreads, /*stall=*/true, grid,
+                   kContendedCopies, serial_results);
+  const double bound_ms =
+      kContendedStallMs + uncontended.p99_seconds * 1e3 + kContendedSlackMs;
   std::printf(
-      "contended(%d hot + %d background, %d threads): deferred p99 %.3f ms / "
-      "p50 %.3f ms (%lld deferred lookups) vs parked p99 %.3f ms / p50 "
-      "%.3f ms (%lld in-flight waits, %lld parks)\n",
+      "contended(%d hot + %d background, %d threads): p99 %.3f ms / p50 "
+      "%.3f ms (%lld deferred lookups) vs uncontended p99 %.3f ms / p50 "
+      "%.3f ms\n",
       kContendedCopies, kContendedBackground, kContendedThreads,
       deferred.p99_seconds * 1e3, deferred.p50_seconds * 1e3,
       static_cast<long long>(deferred.deferred_lookups),
-      parked.p99_seconds * 1e3, parked.p50_seconds * 1e3,
-      static_cast<long long>(parked.dedup_waits),
-      static_cast<long long>(parked.waiter_parks));
-  const bool contended_ok =
-      deferred.waiter_parks == 0 && deferred.deferred_lookups > 0 &&
-      deferred.identical && parked.identical &&
-      deferred.p99_seconds < parked.p99_seconds;
+      uncontended.p99_seconds * 1e3, uncontended.p50_seconds * 1e3);
+  const bool contended_identical = deferred.identical && uncontended.identical;
+  const bool contended_ok = deferred.deferred_lookups > 0 &&
+                            contended_identical &&
+                            deferred.p99_seconds * 1e3 <= bound_ms;
   std::printf(
-      "contended gate: waiter_parks=%lld deferred_lookups=%lld identical=%s "
-      "p99 %.3fms < parked %.3fms: %s\n",
-      static_cast<long long>(deferred.waiter_parks),
+      "contended gate: deferred_lookups=%lld identical=%s p99 %.3fms <= "
+      "%.3fms (%d ms stall + %.3fms uncontended p99 + %.0fms slack): %s\n",
       static_cast<long long>(deferred.deferred_lookups),
-      deferred.identical && parked.identical ? "yes" : "NO",
-      deferred.p99_seconds * 1e3, parked.p99_seconds * 1e3,
-      contended_ok ? "ok" : "NO — BUG");
+      contended_identical ? "yes" : "NO", deferred.p99_seconds * 1e3,
+      bound_ms, kContendedStallMs, uncontended.p99_seconds * 1e3,
+      kContendedSlackMs, contended_ok ? "ok" : "NO — BUG");
 
   // ISSUE 10 acceptance: the grid sharded across worker services behind a
   // remote cache plane (an in-process PlannerServer in cache-server mode,
@@ -751,7 +750,7 @@ int main(int argc, char** argv) {
       sharded_identical ? "yes" : "NO", sharded_ok ? "ok" : "NO — BUG");
 
   // Machine-readable dump (satellite of ISSUE 9): every variant's headline
-  // numbers plus the contended A/B, for CI artifacts and trend tracking.
+  // numbers plus the contended gate, for CI artifacts and trend tracking.
   {
     FILE* f = std::fopen(json_path.c_str(), "w");
     if (f == nullptr) {
@@ -781,17 +780,15 @@ int main(int argc, char** argv) {
           f,
           "\n  ],\n  \"contended\": {\n"
           "    \"threads\": %d, \"hot_copies\": %d, \"background\": %d,\n"
-          "    \"parked_p50_ms\": %.6f, \"parked_p99_ms\": %.6f,\n"
           "    \"deferred_p50_ms\": %.6f, \"deferred_p99_ms\": %.6f,\n"
-          "    \"deferred_lookups\": %lld, \"waiter_parks\": %lld,\n"
+          "    \"uncontended_p99_ms\": %.6f, \"bound_ms\": %.6f,\n"
+          "    \"deferred_lookups\": %lld,\n"
           "    \"identical\": %s, \"ok\": %s\n  },\n",
           kContendedThreads, kContendedCopies, kContendedBackground,
-          parked.p50_seconds * 1e3,
-          parked.p99_seconds * 1e3, deferred.p50_seconds * 1e3,
-          deferred.p99_seconds * 1e3,
+          deferred.p50_seconds * 1e3, deferred.p99_seconds * 1e3,
+          uncontended.p99_seconds * 1e3, bound_ms,
           static_cast<long long>(deferred.deferred_lookups),
-          static_cast<long long>(deferred.waiter_parks),
-          deferred.identical && parked.identical ? "true" : "false",
+          contended_identical ? "true" : "false",
           contended_ok ? "true" : "false");
       std::fprintf(
           f,

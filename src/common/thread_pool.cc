@@ -112,43 +112,33 @@ void ThreadPool::TaskGroup::Submit(std::function<void()> task) {
 }
 
 void ThreadPool::TaskGroup::Wait() {
-  std::exception_ptr error;
-  if (pool_.workers_.empty()) {
-    // Inline mode already ran everything at Submit time.
-    std::unique_lock<std::mutex> lock(pool_.mu_);
-    error = std::exchange(first_error_, nullptr);
-  } else {
-    std::unique_lock<std::mutex> lock(pool_.mu_);
-    while (in_flight_ > 0) {
-      if (!pool_.ready_.empty()) {
-        // Help instead of sleeping: run the next round-robin task (possibly
-        // another group's). This is what lets a pool task wait on a group
-        // it populated without idling a worker — or deadlocking when every
-        // worker is itself a waiter.
-        pool_.RunOneTask(lock);
-        continue;
-      }
-      pool_.progress_.wait(lock, [this] {
-        return in_flight_ == 0 || !pool_.ready_.empty();
-      });
+  // Inline mode ran every Submit()ted task already; only deferred tasks can
+  // be in flight, and their commits land in ready_ for this loop to run.
+  std::unique_lock<std::mutex> lock(pool_.mu_);
+  while (in_flight_ > 0) {
+    if (!pool_.ready_.empty()) {
+      // Help instead of sleeping: run the next round-robin task (possibly
+      // another group's). This is what lets a pool task wait on a group it
+      // populated without idling a worker — or deadlocking when every
+      // worker is itself a waiter.
+      pool_.RunOneTask(lock);
+      continue;
     }
-    error = std::exchange(first_error_, nullptr);
+    pool_.progress_.wait(lock, [this] {
+      return in_flight_ == 0 || !pool_.ready_.empty();
+    });
   }
+  const std::exception_ptr error = std::exchange(first_error_, nullptr);
+  lock.unlock();
   if (error != nullptr) std::rethrow_exception(error);
 }
 
 void ThreadPool::TaskGroup::ReserveDeferred() {
-  if (pool_.workers_.empty()) return;  // inline: CommitDeferred runs inline
   std::unique_lock<std::mutex> lock(pool_.mu_);
   ++in_flight_;
 }
 
 void ThreadPool::TaskGroup::CommitDeferred(std::function<void()> task) {
-  if (pool_.workers_.empty()) {
-    // Inline pools never defer; run under the same contracts as Submit.
-    Submit(std::move(task));
-    return;
-  }
   {
     std::unique_lock<std::mutex> lock(pool_.mu_);
     // in_flight_ already counts this task, since ReserveDeferred.
@@ -163,7 +153,6 @@ void ThreadPool::TaskGroup::CommitDeferred(std::function<void()> task) {
 }
 
 void ThreadPool::TaskGroup::AbandonDeferred() {
-  if (pool_.workers_.empty()) return;
   {
     std::unique_lock<std::mutex> lock(pool_.mu_);
     --in_flight_;
@@ -177,51 +166,45 @@ void ThreadPool::TaskGroup::Wait(const CancelToken& token,
     Wait();
     return;
   }
-  std::exception_ptr error;
-  if (pool_.workers_.empty()) {
-    // Inline mode ran everything at Submit time; nothing can be deferred.
-    std::unique_lock<std::mutex> lock(pool_.mu_);
-    error = std::exchange(first_error_, nullptr);
-  } else {
-    // Register before the first predicate check (the AddCancelWaiter
-    // contract): Cancel() notifies progress_, so an explicit abort wakes
-    // this waiter promptly. Deadline expiry never notifies — the sleep is
-    // bounded by the armed deadline, and the next iteration's
-    // cancel_requested() latches the expiry. Declared before `lock` so the
-    // lock releases mu_ before the waiter unregisters.
-    CancelWaiter waiter(token, &pool_.mu_, &pool_.progress_);
-    std::unique_lock<std::mutex> lock(pool_.mu_);
-    bool abort_observed = false;
-    while (in_flight_ > 0) {
-      // Safe while holding a registered mutex: cancel_requested() latches
-      // but never notifies.
-      if (!abort_observed && token.cancel_requested()) {
-        abort_observed = true;
-        lock.unlock();
-        on_abort();
-        lock.lock();
-        continue;
-      }
-      if (!pool_.ready_.empty()) {
-        pool_.RunOneTask(lock);
-        continue;
-      }
-      const auto wake = [&] {
-        return in_flight_ == 0 || !pool_.ready_.empty() ||
-               (!abort_observed && token.cancel_requested());
-      };
-      const auto deadline = token.deadline();
-      if (!abort_observed && deadline.has_value()) {
-        // An elapsed deadline falls straight through; the loop above then
-        // latches it and runs the abort hook — no spin, because once
-        // abort_observed is set this branch is never taken again.
-        pool_.progress_.wait_until(lock, *deadline, wake);
-      } else {
-        pool_.progress_.wait(lock, wake);
-      }
+  // Register before the first predicate check (the AddCancelWaiter
+  // contract): Cancel() notifies progress_, so an explicit abort wakes this
+  // waiter promptly. Deadline expiry never notifies — the sleep is bounded
+  // by the armed deadline, and the next iteration's cancel_requested()
+  // latches the expiry. Declared before `lock` so the lock releases mu_
+  // before the waiter unregisters.
+  CancelWaiter waiter(token, &pool_.mu_, &pool_.progress_);
+  std::unique_lock<std::mutex> lock(pool_.mu_);
+  bool abort_observed = false;
+  while (in_flight_ > 0) {
+    // Safe while holding a registered mutex: cancel_requested() latches but
+    // never notifies.
+    if (!abort_observed && token.cancel_requested()) {
+      abort_observed = true;
+      lock.unlock();
+      on_abort();
+      lock.lock();
+      continue;
     }
-    error = std::exchange(first_error_, nullptr);
+    if (!pool_.ready_.empty()) {
+      pool_.RunOneTask(lock);
+      continue;
+    }
+    const auto wake = [&] {
+      return in_flight_ == 0 || !pool_.ready_.empty() ||
+             (!abort_observed && token.cancel_requested());
+    };
+    const auto deadline = token.deadline();
+    if (!abort_observed && deadline.has_value()) {
+      // An elapsed deadline falls straight through; the loop above then
+      // latches it and runs the abort hook — no spin, because once
+      // abort_observed is set this branch is never taken again.
+      pool_.progress_.wait_until(lock, *deadline, wake);
+    } else {
+      pool_.progress_.wait(lock, wake);
+    }
   }
+  const std::exception_ptr error = std::exchange(first_error_, nullptr);
+  lock.unlock();
   if (error != nullptr) std::rethrow_exception(error);
 }
 

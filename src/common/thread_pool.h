@@ -31,7 +31,8 @@ class ThreadPool {
  public:
   /// Spawns `num_threads` workers. With num_threads <= 1 no workers are
   /// spawned and Submit runs tasks inline — the serial path stays free of
-  /// synchronization and of thread-creation cost.
+  /// thread-creation cost; only deferred tasks (ReserveDeferred) queue, to
+  /// be run by the waiting thread.
   explicit ThreadPool(int num_threads);
   ~ThreadPool();
 
@@ -84,11 +85,11 @@ class ThreadPool {
     /// cache lookups: a task that must pause for an external event reserves
     /// its slot, returns (freeing the worker to run other groups' tasks),
     /// and the event's continuation commits the follow-up — no thread ever
-    /// parks in between. Reserve BEFORE registering the continuation, or a
+    /// blocks in between. Reserve BEFORE registering the continuation, or a
     /// fast continuation could commit against a reservation that does not
-    /// exist yet. On an inline (<= 1 thread) pool deferral degenerates
-    /// (nothing runs concurrently that could fire a continuation), so the
-    /// reserve/abandon pair is a no-op and CommitDeferred runs inline.
+    /// exist yet. Inline (<= 1 thread) pools defer the same way — callers
+    /// on other threads can fire the continuation — and the committed task
+    /// runs on whichever thread is waiting on the pool.
     void ReserveDeferred();
     /// Enqueues `task` against one earlier ReserveDeferred(). Safe from any
     /// thread, including callbacks running outside the pool; the task is

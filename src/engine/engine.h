@@ -56,19 +56,12 @@ struct PipelineStats {
   std::int64_t unique_hierarchies = 0;  ///< distinct synthesis signatures
   std::int64_t cache_hits = 0;
   std::int64_t cache_misses = 0;
-  /// Lookups that blocked on another request's in-flight synthesis of the
-  /// same signature instead of re-synthesizing (each still counts as a hit
-  /// or, if the finished entry could not serve this cap, a miss). Zero
-  /// under the deferral-aware scheduler, which never blocks — see
-  /// cache_deferred_lookups.
-  std::int64_t cache_dedup_waits = 0;
   /// Lookups that found another request's in-flight synthesis and deferred
-  /// (re-enqueued through a completion continuation while the worker ran
-  /// other tasks) instead of parking — the non-blocking counterpart of
-  /// cache_dedup_waits, taken by the deferral-aware scheduler
-  /// (PipelineOptions::defer_inflight). Like cache_dedup_waits this count
-  /// depends on cross-request arrival order; only the sum of hits+misses
-  /// is per-request deterministic.
+  /// (re-enqueued through a completion continuation while the thread ran
+  /// other tasks) instead of re-synthesizing; each deferral's retry still
+  /// counts as a hit or, if the finished entry could not serve this cap, a
+  /// miss. This count depends on cross-request arrival order; only the sum
+  /// of hits+misses is per-request deterministic.
   std::int64_t cache_deferred_lookups = 0;
   /// Hits served by entries another tenant's query synthesized (a subset of
   /// cache_hits; zero on a single-tenant service) — the cross-cluster
@@ -96,13 +89,13 @@ struct PipelineStats {
   std::int64_t guided_skipped = 0;
   double synthesis_seconds_saved = 0.0;  ///< re-synthesis avoided by the cache
   double disk_seconds_saved = 0.0;       ///< portion saved across runs (disk)
-  /// Time actually spent synthesizing. Under the staged scheduler this is
-  /// the synthesize stage's wall-clock; under the deferral-aware scheduler
-  /// (where synthesis and evaluation tasks interleave) it is the summed
-  /// per-task synthesis time instead.
+  /// Time actually spent synthesizing, summed over the synthesis this
+  /// request ran itself (owned signatures, remote-plane fetches included);
+  /// synthesis and evaluation tasks interleave, so this is task time, not a
+  /// stage's wall-clock.
   double synthesis_seconds = 0.0;
-  /// Lower/predict/measure time, with the same staged-wall-clock vs
-  /// summed-task-time split as synthesis_seconds.
+  /// Lower/predict/measure time, summed per placement like
+  /// synthesis_seconds.
   double evaluation_seconds = 0.0;
   double total_seconds = 0.0;
   int threads = 1;
@@ -201,7 +194,7 @@ class Engine {
       const core::ParallelismMatrix& matrix,
       std::span<const int> reduction_axes, int measure_top_k) const;
 
-  /// Full experiment over every placement of `axes`, through the staged
+  /// Full experiment over every placement of `axes`, through the
   /// pipeline (engine/pipeline.h): placements inducing isomorphic synthesis
   /// hierarchies share one synthesis run, and evaluation uses
   /// `options().threads` workers. Output is identical at any thread count.

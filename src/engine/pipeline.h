@@ -1,5 +1,5 @@
-// The staged per-query executor behind the planning service
-// (engine/service.h) and Engine::RunExperiment:
+// The per-query executor behind the planning service (engine/service.h)
+// and Engine::RunExperiment:
 //
 //   enumerate placements -> dedup by synthesis-hierarchy signature
 //     -> synthesize once per signature (memoized in the service's shared
@@ -12,10 +12,15 @@
 // number of pipelines (one per in-flight request) share synthesis results
 // and threads. Placements are independent once their synthesis hierarchies
 // are shared, so stages 3-4 run as work items on a ThreadPool::TaskGroup of
-// the shared pool — concurrent requests' items interleave fairly — and
-// results are written into preallocated slots and merged in enumeration
-// order, which makes the parallel output byte-identical to the serial path
-// (modulo wall-clock timing fields).
+// the shared pool — concurrent requests' items interleave fairly. The one
+// scheduler is deferral-aware: a signature group whose synthesis another
+// request owns re-enqueues itself through a SynthesisCache::TryLookup
+// continuation while the thread runs other pending tasks, so no pool
+// thread ever blocks on a foreign synthesis (PipelineStats::
+// cache_deferred_lookups counts the deferrals). Results are written into
+// preallocated slots and merged in enumeration order, which makes the
+// parallel output byte-identical to the serial path (modulo wall-clock
+// timing fields).
 #ifndef P2_ENGINE_PIPELINE_H_
 #define P2_ENGINE_PIPELINE_H_
 
@@ -55,18 +60,6 @@ struct PipelineOptions {
   /// *other* requests sharing the pool are untouched. Null (the default)
   /// never cancels.
   CancelToken cancel;
-  /// Defer instead of park on another request's in-flight synthesis: a
-  /// signature group owned elsewhere re-enqueues itself through a
-  /// SynthesisCache::TryLookup continuation while the worker runs other
-  /// pending tasks — other placements, evaluations, even whole queued
-  /// requests — so no pool thread ever blocks on a foreign synthesis
-  /// (stats: cache_deferred_lookups up, cache_dedup_waits and the
-  /// service-wide waiter_parks pinned to 0). Off falls back to the staged
-  /// scheduler whose in-flight lookups park on the owner's condition
-  /// variable (the tail-latency baseline bench_pipeline's contended
-  /// variant measures against). Effective only with cache_synthesis on a
-  /// threaded pool; outputs are byte-identical either way.
-  bool defer_inflight = true;
 };
 
 class Pipeline {

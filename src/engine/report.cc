@@ -71,9 +71,6 @@ std::string RenderPipelineStats(const PipelineStats& stats) {
                 stats.synthesis_seconds_saved);
   os << buf << ", " << stats.threads
      << (stats.threads == 1 ? " thread" : " threads");
-  if (stats.cache_dedup_waits > 0) {
-    os << ", " << stats.cache_dedup_waits << " in-flight waits";
-  }
   if (stats.cache_deferred_lookups > 0) {
     os << ", " << stats.cache_deferred_lookups << " deferred lookups";
   }
@@ -110,15 +107,9 @@ std::string RenderServiceStats(const PlannerServiceStats& stats) {
   if (stats.cache.subsumed_hits > 0) {
     os << ", " << stats.cache.subsumed_hits << " served by subsumption";
   }
-  if (stats.cache.dedup_waits > 0) {
-    os << ", " << stats.cache.dedup_waits << " in-flight waits";
-  }
   if (stats.cache.deferred_lookups > 0) {
     os << ", " << stats.cache.deferred_lookups << " deferred lookups ("
        << stats.cache.continuations_fired << " continuations fired)";
-  }
-  if (stats.cache.waiter_parks > 0) {
-    os << ", " << stats.cache.waiter_parks << " waiter parks";
   }
   if (stats.cache.cross_tenant_hits > 0) {
     os << ", " << stats.cache.cross_tenant_hits << " cross-tenant hits";

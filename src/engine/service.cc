@@ -399,7 +399,6 @@ PlanHandle PlannerService::Submit(PlanRequest request) {
                                 .measure_top_k = request.measure_top_k,
                                 .tenant = resolved.id,
                                 .cancel = token,
-                                .defer_inflight = options_.defer_inflight,
                             });
           ExperimentResult result =
               pipeline.Run(request.axes, request.reduction_axes);

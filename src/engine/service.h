@@ -157,15 +157,6 @@ struct PlannerServiceOptions {
   /// before cancelling them (see BeginDrain); nullopt (the default) waits
   /// for them indefinitely, like the pre-drain destructor always did.
   std::optional<std::chrono::milliseconds> drain_grace;
-  /// Defer instead of park when a request's synthesis signature is already
-  /// in flight under another request (PipelineOptions::defer_inflight): the
-  /// worker re-enqueues that work through a cache continuation and runs
-  /// other pending tasks meanwhile, keeping every pool thread productive —
-  /// the tail-latency lever for contended traffic (stats().cache
-  /// waiter_parks stays 0; deferred_lookups counts the deferrals). Off
-  /// restores the parked-waiter scheduler. Results are byte-identical
-  /// either way.
-  bool defer_inflight = true;
 };
 
 /// One planning query: evaluate every placement of `axes` on the engine of

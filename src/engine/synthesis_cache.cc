@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <charconv>
 #include <chrono>
-#include <thread>
+#include <condition_variable>
+#include <optional>
 #include <utility>
 
 namespace p2::engine {
@@ -35,43 +36,53 @@ bool ParseCapFromKey(const std::string& key, std::string* base,
   return true;
 }
 
-}  // namespace
-
-void SynthesisCache::InFlight::MarkDone() {
-  {
-    std::lock_guard<std::mutex> lock(m);
-    done = true;
+/// A one-shot wake-up for a blocked caller: GetOrSynthesize's continuation
+/// fires it when the flight it deferred behind settles.
+struct Signal {
+  void Fire() {
+    {
+      std::lock_guard<std::mutex> lock(m);
+      fired = true;
+    }
+    cv.notify_all();
   }
-  cv.notify_all();
-}
 
-bool SynthesisCache::InFlight::Wait(const CancelToken& cancel) {
-  if (!cancel.CanBeCancelled()) {
-    std::unique_lock<std::mutex> lock(m);
-    cv.wait(lock, [this] { return done; });
-    return true;
-  }
+  std::mutex m;
+  std::condition_variable cv;
+  bool fired = false;
+};
+
+/// Blocks until `signal` fires (true), or until `cancel` aborts or `until`
+/// passes (false). Deadline expiry never notifies a cv, so the block is
+/// also bounded by the token's armed deadline.
+bool WaitForSignal(Signal& signal, const CancelToken& cancel,
+                   std::optional<std::chrono::steady_clock::time_point> until) {
   // Register the cv with the token before the first predicate check and
   // while `m` is not held (the AddCancelWaiter contract): a Cancel() landing
   // any time after this line either notifies the cv or is already visible
   // to cancel_requested() below. Destruction order matters too — `lock`
   // below releases `m` before `waiter` unregisters.
-  CancelWaiter waiter(cancel, &m, &cv);
-  std::unique_lock<std::mutex> lock(m);
+  CancelWaiter waiter(cancel, &signal.m, &signal.cv);
+  std::unique_lock<std::mutex> lock(signal.m);
   for (;;) {
-    if (done) return true;
+    if (signal.fired) return true;
     if (cancel.cancel_requested()) return false;
-    // Deadline expiry never notifies (see cancel.h), so bound the block by
-    // the currently-armed deadline — re-read each round, it can be
-    // re-armed — and let the post-wake cancel_requested() latch the expiry.
-    const auto deadline = cancel.deadline();
-    if (deadline.has_value()) {
-      cv.wait_until(lock, *deadline);
+    // The token's deadline is re-read each round (it can be re-armed); the
+    // post-wake cancel_requested() latches its expiry.
+    auto wake = cancel.deadline();
+    if (until.has_value()) {
+      if (std::chrono::steady_clock::now() >= *until) return false;
+      if (!wake.has_value() || *until < *wake) wake = until;
+    }
+    if (wake.has_value()) {
+      signal.cv.wait_until(lock, *wake);
     } else {
-      cv.wait(lock);
+      signal.cv.wait(lock);
     }
   }
 }
+
+}  // namespace
 
 std::string SynthesisCache::BaseKey(const core::SynthesisHierarchy& sh,
                                     const core::SynthesisOptions& options) {
@@ -142,9 +153,9 @@ void SynthesisCache::EvictLocked() {
   while (it != lru_.begin() &&
          static_cast<std::int64_t>(entries_.size()) > max_entries_) {
     --it;
-    // A reserved base has in-flight waiters about to be served from it:
-    // immune until the last one has done its post-wake lookup. The cache
-    // may transiently exceed its cap by the number of reserved bases.
+    // A reserved base has deferred lookups about to be served from it:
+    // immune until the last one has retried. The cache may transiently
+    // exceed its cap by the number of reserved bases.
     if (reserved_.find(*it) != reserved_.end()) continue;
     entries_.erase(*it);
     it = lru_.erase(it);
@@ -155,120 +166,51 @@ void SynthesisCache::EvictLocked() {
 std::shared_ptr<const core::SynthesisResult> SynthesisCache::GetOrSynthesize(
     const core::SynthesisHierarchy& sh, const core::SynthesisOptions& options,
     CacheLookupOutcome* outcome, std::int64_t tenant) {
-  if (outcome != nullptr) *outcome = CacheLookupOutcome{};
-  const std::string base = BaseKey(sh, options);
-  // Clamp like the synthesizer does: a non-positive cap means "no programs"
-  // (core::SynthesizePrograms returns an empty list for it), so it is
-  // served from any entry as an empty prefix — never as a negative
-  // iterator offset.
-  const std::int64_t cap = std::max<std::int64_t>(0, options.max_programs);
-  bool waited = false;
-
-  std::unique_lock<std::mutex> lock(mu_);
-  bool holds_reservation = false;
-  // Releases the reservation taken before the most recent wait. Runs at the
-  // top of every post-wake iteration — under the same lock acquisition as
-  // the lookup that follows, so eviction (which also needs the lock) cannot
-  // squeeze between the release and the read.
-  const auto release_reservation = [&] {
-    if (!holds_reservation) return;
-    holds_reservation = false;
-    const auto rit = reserved_.find(base);
-    if (--rit->second == 0) reserved_.erase(rit);
-  };
+  DeferredLookup deferred;
   for (;;) {
-    release_reservation();
-    const auto it = entries_.find(base);
-    if (it != entries_.end() && it->second.CanServe(cap)) {
-      return ServeHitLocked(lock, it->second, cap, tenant, waited, outcome);
+    // Co-owned by the continuation: one the owner extracted before a
+    // CancelDeferred below could withdraw it still fires after we unwound.
+    auto resolved = std::make_shared<Signal>();
+    TryLookupResult looked =
+        TryLookup(sh, options, [resolved] { resolved->Fire(); }, &deferred,
+                  outcome, tenant);
+    switch (looked.state) {
+      case TryLookupState::kReady:
+        return std::move(looked.result);
+      case TryLookupState::kOwned:
+        return SynthesizeOwned(sh, options, outcome, tenant);
+      case TryLookupState::kInFlight:
+        // Our *own* request aborting while we wait behind a foreign owner
+        // that may never cancel: settle the deferral and unwind.
+        if (!WaitForSignal(*resolved, options.cancel, std::nullopt)) {
+          CancelDeferred(&deferred);
+          options.cancel.ThrowIfCancelled();
+        }
+        break;  // fired: retry, settling the deferral
     }
-    // Not servable from the table. If someone is synthesizing this
-    // signature right now, wait for them and re-check: their result usually
-    // serves us (same cap), though a truncated smaller-cap result sends us
-    // around the loop into our own synthesis. The reservation taken here —
-    // released at the top of the next iteration — keeps the LRU from
-    // evicting the published entry between publication and our wake-up.
-    const auto fit = inflight_.find(base);
-    if (fit == inflight_.end()) break;
-    const auto flight = fit->second;
-    ++reserved_[base];
-    holds_reservation = true;
-    waited = true;
-    ++stats_.waiter_parks;
-    lock.unlock();
-    if (!flight->Wait(options.cancel)) {
-      // Our *own* request aborted while parked behind a foreign owner that
-      // may never cancel: release the reservation (nobody will do the
-      // post-wake lookup it protected) and unwind.
-      lock.lock();
-      release_reservation();
-      lock.unlock();
-      options.cancel.ThrowIfCancelled();
-    }
-    lock.lock();
   }
+}
 
-  // Miss: announce the in-flight synthesis, run it outside the lock, then
-  // publish. Concurrent queries on other signatures proceed in parallel;
-  // concurrent queries on this one block above.
-  auto flight = std::make_shared<InFlight>();
-  inflight_.emplace(base, flight);
-  const std::shared_ptr<RemoteCacheBackend> remote = remote_;
-  lock.unlock();
-
-  // Consult the remote cache plane before paying for a synthesis (no-op
-  // without a backend). Announcing the flight *first* means local
-  // concurrent lookups park/defer behind the remote round trip too, so the
+std::shared_ptr<const core::SynthesisResult> SynthesisCache::SynthesizeOwned(
+    const core::SynthesisHierarchy& sh, const core::SynthesisOptions& options,
+    CacheLookupOutcome* outcome, std::int64_t tenant) {
+  // Consult the remote cache plane before paying for a synthesis (null
+  // without a backend). The flight is already announced, so local
+  // concurrent lookups defer behind the remote round trip too and the
   // process makes one plane query per signature, not one per thread.
-  if (remote != nullptr) {
-    core::SynthesisResult fetched;
-    std::int64_t entry_cap = 0;
-    if (ConsultRemote(*remote, base, options, &fetched, &entry_cap)) {
-      return AdoptRemoteHit(base, std::move(fetched), entry_cap, cap, waited,
-                            outcome);
-    }
-  }
-
+  if (auto fetched = FetchRemoteOwned(sh, options, outcome)) return fetched;
   std::shared_ptr<const core::SynthesisResult> result;
   try {
     result = std::make_shared<const core::SynthesisResult>(
         SynthesizePrograms(sh, options));
   } catch (...) {
-    // Withdraw the announcement, wake the waiters, fire any registered
-    // continuations (a blocking owner can have deferred registrants too);
-    // each retries the lookup and (finding no entry and no flight)
-    // dispatches the synthesis itself.
-    lock.lock();
-    SettleFlight(lock, base);
+    // Withdraw the announcement and fire the continuations: each deferred
+    // caller retries, finds neither entry nor flight, and claims the
+    // synthesis itself.
+    AbandonOwned(sh, options);
     throw;
   }
-
-  lock.lock();
-  // Replace any existing entry: we only reach here when it could not serve
-  // this cap, i.e. it was truncated below `cap` — the new result strictly
-  // extends it (determinism: both are prefixes of the same ordered list).
-  Entry entry;
-  entry.result = result;
-  entry.original_seconds = result->stats.seconds;
-  entry.max_programs = cap;
-  entry.owner_tenant = tenant;
-  PublishLocked(base, std::move(entry));
-  ++stats_.misses;
-  // stats_.dedup_waits counts only waits that *avoided* a synthesis (a
-  // subset of hits, per the header); a wait that ended here — the finished
-  // entry could not serve this cap — ran its own synthesis after all, so
-  // it is recorded only in the caller's outcome.
-  if (outcome != nullptr) outcome->waited = waited;
-  SettleFlight(lock, base);
-  // Publish the completion to the plane (after settling — local waiters
-  // never stall behind the wire). A failed publish only loses cross-worker
-  // reuse of this one entry.
-  if (remote != nullptr &&
-      !remote->Publish(
-          base + std::string(kCapMarker) + std::to_string(cap), *result)) {
-    std::unique_lock<std::mutex> relock(mu_);
-    ++stats_.remote_errors;
-  }
+  CompleteOwned(sh, options, result, tenant);
   return result;
 }
 
@@ -321,8 +263,13 @@ bool SynthesisCache::ConsultRemote(RemoteCacheBackend& remote,
           count_error();
           return false;
         }
+        // A signal nobody fires: the wait ends at the retry-after mark, or
+        // earlier on a cancel or deadline, which the next round observes.
         const int sleep_ms = std::clamp(reply.retry_after_ms, 1, 1000);
-        std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
+        Signal never;
+        WaitForSignal(never, options.cancel,
+                      std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(sleep_ms));
         waited_ms += sleep_ms;
         break;
       }
@@ -335,8 +282,7 @@ bool SynthesisCache::ConsultRemote(RemoteCacheBackend& remote,
 
 std::shared_ptr<const core::SynthesisResult> SynthesisCache::AdoptRemoteHit(
     const std::string& base, core::SynthesisResult fetched,
-    std::int64_t entry_cap, std::int64_t cap, bool waited,
-    CacheLookupOutcome* outcome) {
+    std::int64_t entry_cap, std::int64_t cap, CacheLookupOutcome* outcome) {
   const double original_seconds = fetched.stats.seconds;
   // Like Preload: this process spent nothing synthesizing, so the served
   // result reports zero seconds while the foreign wall-clock lives on in
@@ -354,7 +300,6 @@ std::shared_ptr<const core::SynthesisResult> SynthesisCache::AdoptRemoteHit(
   ++stats_.hits;
   ++stats_.remote_hits;
   stats_.seconds_saved += original_seconds;
-  if (waited) ++stats_.dedup_waits;
   const bool subsumed =
       cap < static_cast<std::int64_t>(published.result->programs.size());
   if (subsumed) ++stats_.subsumed_hits;
@@ -363,12 +308,11 @@ std::shared_ptr<const core::SynthesisResult> SynthesisCache::AdoptRemoteHit(
     outcome->hit = true;
     outcome->from_remote = true;
     outcome->subsumed = subsumed;
-    outcome->waited = waited;
     outcome->seconds_saved = original_seconds;
   }
   auto result = published.result;
-  // Settle the flight we claimed before consulting the plane: parked
-  // waiters and deferred continuations are served from the adopted entry.
+  // Settle the flight we claimed before consulting the plane: the deferred
+  // lookups' retries are served from the adopted entry.
   SettleFlight(lock, base);
   if (!subsumed) return result;
   auto truncated = std::make_shared<core::SynthesisResult>();
@@ -395,13 +339,12 @@ std::shared_ptr<const core::SynthesisResult> SynthesisCache::FetchRemoteOwned(
   if (!ConsultRemote(*remote, base, options, &fetched, &entry_cap)) {
     return nullptr;
   }
-  return AdoptRemoteHit(base, std::move(fetched), entry_cap, cap,
-                        /*waited=*/false, outcome);
+  return AdoptRemoteHit(base, std::move(fetched), entry_cap, cap, outcome);
 }
 
 std::shared_ptr<const core::SynthesisResult> SynthesisCache::ServeHitLocked(
     std::unique_lock<std::mutex>& lock, Entry& entry, std::int64_t cap,
-    std::int64_t tenant, bool waited, CacheLookupOutcome* outcome) {
+    std::int64_t tenant, CacheLookupOutcome* outcome) {
   TouchLocked(entry);
   ++stats_.hits;
   stats_.seconds_saved += entry.original_seconds;
@@ -409,7 +352,6 @@ std::shared_ptr<const core::SynthesisResult> SynthesisCache::ServeHitLocked(
     ++stats_.disk_hits;
     stats_.disk_seconds_saved += entry.original_seconds;
   }
-  if (waited) ++stats_.dedup_waits;
   const bool cross_tenant = entry.owner_tenant != kNoTenant &&
                             tenant != kNoTenant && entry.owner_tenant != tenant;
   if (cross_tenant) ++stats_.cross_tenant_hits;
@@ -420,7 +362,6 @@ std::shared_ptr<const core::SynthesisResult> SynthesisCache::ServeHitLocked(
     outcome->hit = true;
     outcome->from_disk = entry.from_disk;
     outcome->subsumed = subsumed;
-    outcome->waited = waited;
     outcome->cross_tenant = cross_tenant;
     outcome->seconds_saved = entry.original_seconds;
   }
@@ -446,17 +387,19 @@ std::shared_ptr<const core::SynthesisResult> SynthesisCache::ServeHitLocked(
 void SynthesisCache::SettleFlight(std::unique_lock<std::mutex>& lock,
                                   const std::string& base) {
   const auto fit = inflight_.find(base);
-  const std::shared_ptr<InFlight> flight = fit->second;
-  std::vector<InFlight::Continuation> continuations =
-      std::move(flight->continuations);
+  std::vector<Continuation> continuations = std::move(fit->second);
   stats_.continuations_fired += static_cast<std::int64_t>(continuations.size());
   inflight_.erase(fit);
   lock.unlock();
-  // Parked waiters first (they re-lock mu_ themselves), then the deferred
-  // ones' continuations — all outside every lock, so a continuation is free
-  // to call straight back into the cache or into a ThreadPool group.
-  flight->MarkDone();
-  for (InFlight::Continuation& continuation : continuations) continuation.fn();
+  // Outside every lock, so a continuation is free to call straight back
+  // into the cache or into a ThreadPool group.
+  for (Continuation& continuation : continuations) continuation.fn();
+}
+
+void SynthesisCache::ReleaseReservationLocked(DeferredLookup* deferred) {
+  deferred->active_ = false;
+  const auto rit = reserved_.find(deferred->base_);
+  if (--rit->second == 0) reserved_.erase(rit);
 }
 
 SynthesisCache::TryLookupResult SynthesisCache::TryLookup(
@@ -465,44 +408,45 @@ SynthesisCache::TryLookupResult SynthesisCache::TryLookup(
     CacheLookupOutcome* outcome, std::int64_t tenant) {
   if (outcome != nullptr) *outcome = CacheLookupOutcome{};
   const std::string base = BaseKey(sh, options);
+  // Clamp like the synthesizer does: a non-positive cap means "no programs"
+  // (core::SynthesizePrograms returns an empty list for it), so it is
+  // served from any entry as an empty prefix — never as a negative
+  // iterator offset.
   const std::int64_t cap = std::max<std::int64_t>(0, options.max_programs);
 
   TryLookupResult r;
   std::unique_lock<std::mutex> lock(mu_);
   // A retry after a deferral releases its reservation here — under the same
   // lock acquisition as the lookup below, so eviction (which also needs the
-  // lock) cannot squeeze between the release and the read. This mirrors
-  // GetOrSynthesize's post-wake release_reservation() exactly.
-  if (deferred->active_) {
-    deferred->active_ = false;
-    const auto rit = reserved_.find(deferred->base_);
-    if (--rit->second == 0) reserved_.erase(rit);
-  }
+  // lock) cannot squeeze between the release and the read.
+  if (deferred->active_) ReleaseReservationLocked(deferred);
   const auto it = entries_.find(base);
   if (it != entries_.end() && it->second.CanServe(cap)) {
     r.state = TryLookupState::kReady;
-    r.result = ServeHitLocked(lock, it->second, cap, tenant,
-                              /*waited=*/false, outcome);
+    r.result = ServeHitLocked(lock, it->second, cap, tenant, outcome);
     return r;
   }
+  // Not servable from the table. If someone is synthesizing this signature
+  // right now, defer behind them: their result usually serves our retry
+  // (same cap), though a truncated smaller-cap result sends the retry into
+  // its own synthesis.
   const auto fit = inflight_.find(base);
   if (fit != inflight_.end()) {
-    // Defer: reserve the base (the published entry must survive until our
-    // retry reads it — the same immunity a parked waiter holds) and
-    // register the continuation under the tag CancelDeferred withdraws by.
+    // Reserve the base (the published entry must survive until our retry
+    // reads it) and register the continuation under the tag CancelDeferred
+    // withdraws by.
     ++reserved_[base];
     deferred->active_ = true;
     deferred->base_ = base;
     deferred->id_ = next_continuation_id_++;
-    fit->second->continuations.push_back(
-        InFlight::Continuation{deferred->id_, std::move(on_resolved)});
+    fit->second.push_back(Continuation{deferred->id_, std::move(on_resolved)});
     ++stats_.deferred_lookups;
     r.state = TryLookupState::kInFlight;
     return r;
   }
   // Claim the flight: the caller is now the owner every concurrent lookup
-  // of this base parks or defers behind, until CompleteOwned/AbandonOwned.
-  inflight_.emplace(base, std::make_shared<InFlight>());
+  // of this base defers behind, until CompleteOwned/AbandonOwned.
+  inflight_.try_emplace(base);
   r.state = TryLookupState::kOwned;
   return r;
 }
@@ -515,6 +459,9 @@ void SynthesisCache::CompleteOwned(
   const std::shared_ptr<const core::SynthesisResult> completed = result;
   std::unique_lock<std::mutex> lock(mu_);
   const std::shared_ptr<RemoteCacheBackend> remote = remote_;
+  // Replace any existing entry: an owner exists only when it could not
+  // serve this cap, i.e. it was truncated below `cap` — the new result
+  // strictly extends it (both are prefixes of the same ordered list).
   Entry entry;
   entry.result = std::move(result);
   entry.original_seconds = entry.result->stats.seconds;
@@ -523,9 +470,9 @@ void SynthesisCache::CompleteOwned(
   PublishLocked(base, std::move(entry));
   ++stats_.misses;
   SettleFlight(lock, base);
-  // Publish to the remote plane after settling, exactly like the
-  // GetOrSynthesize owner path: local waiters never stall behind the wire,
-  // and a failed publish only loses cross-worker reuse of this entry.
+  // Publish to the remote plane after settling: local deferred lookups
+  // never stall behind the wire, and a failed publish only loses
+  // cross-worker reuse of this entry.
   if (remote != nullptr &&
       !remote->Publish(
           base + std::string(kCapMarker) + std::to_string(cap), *completed)) {
@@ -544,9 +491,7 @@ void SynthesisCache::AbandonOwned(const core::SynthesisHierarchy& sh,
 void SynthesisCache::CancelDeferred(DeferredLookup* deferred) {
   if (deferred == nullptr || !deferred->active_) return;
   std::unique_lock<std::mutex> lock(mu_);
-  deferred->active_ = false;
-  const auto rit = reserved_.find(deferred->base_);
-  if (--rit->second == 0) reserved_.erase(rit);
+  ReleaseReservationLocked(deferred);
   // Withdraw the continuation if the flight still holds it. The flight may
   // already be a *successor* (our owner settled, extracting our
   // continuation, and someone re-claimed the base) — ids are never reused,
@@ -554,7 +499,7 @@ void SynthesisCache::CancelDeferred(DeferredLookup* deferred) {
   // late as the caller's fire-once no-op.
   const auto fit = inflight_.find(deferred->base_);
   if (fit != inflight_.end()) {
-    auto& continuations = fit->second->continuations;
+    auto& continuations = fit->second;
     for (auto it = continuations.begin(); it != continuations.end(); ++it) {
       if (it->id == deferred->id_) {
         continuations.erase(it);

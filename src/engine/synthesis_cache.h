@@ -13,33 +13,30 @@
 // The cache is the process-wide shared core of the planning service
 // (engine/service.h), so it is built for concurrent queries:
 //
-//  - In-flight deduplication: when two threads miss the same signature
-//    simultaneously, exactly one runs the synthesis; the others block on it
-//    and are then served the finished entry (one miss total, the rest are
-//    hits that `waited`). An owner whose synthesis throws — including a
-//    cooperative cancellation of *its* request — withdraws the in-flight
-//    announcement before waking the waiters, so each waiter re-checks,
-//    finds no flight, and dispatches the synthesis itself: a dead owner
-//    never parks its waiters forever. Symmetrically, a waiter whose own
-//    request aborts (SynthesisOptions::cancel) interrupts its wait and
-//    unwinds instead of riding out a foreign owner's synthesis.
-//  - Non-blocking lookups: TryLookup() is the deferral-capable face of the
-//    same machinery. Instead of parking on a foreign in-flight synthesis it
-//    registers a completion continuation and returns kInFlight, holding the
-//    same eviction reservation a parked waiter would; owner completion AND
-//    owner death fire the continuations (outside the cache lock), and the
-//    caller retries with the same DeferredLookup handle — the retry
-//    releases the reservation under the same lock acquisition as its
-//    lookup, exactly the parked path's closed publish-to-read window. A
-//    caller that loses interest settles with CancelDeferred(), which
-//    releases the reservation like a cancelled parked waiter and withdraws
+//  - In-flight deduplication through one lookup path, TryLookup(): when
+//    two callers miss the same signature simultaneously, exactly one gets
+//    kOwned and runs the synthesis (SynthesizeOwned: remote-plane fetch,
+//    then local synthesis, then CompleteOwned — or AbandonOwned on a
+//    throw); the others get kInFlight, which registers a completion
+//    continuation and takes an eviction reservation instead of blocking.
+//    Owner completion AND owner death fire the continuations (outside the
+//    cache lock), and each caller retries with the same DeferredLookup
+//    handle — the retry releases the reservation under the same lock
+//    acquisition as its lookup, so the published entry cannot be evicted
+//    between publication and the read. One miss total; the rest are hits.
+//    An owner whose synthesis throws — including a cooperative
+//    cancellation of *its* request — withdraws the announcement, so each
+//    retry finds no flight and claims the synthesis itself: a dead owner
+//    never strands its followers. A caller that loses interest settles
+//    with CancelDeferred(), which releases the reservation and withdraws
 //    the continuation (one already extracted by a completing owner may
-//    still fire late — callers guard with a fire-once flag). kOwned tells
-//    the caller to synthesize itself and settle with CompleteOwned /
-//    AbandonOwned. The pipeline's deferral scheduler (engine/pipeline.cc)
-//    is built on this surface, so no pool thread ever parks on another
-//    request's synthesis (`waiter_parks` counts the remaining blocking
-//    waits of the GetOrSynthesize path).
+//    still fire late — callers guard with a fire-once flag). The
+//    pipeline's scheduler (engine/pipeline.cc) re-enqueues a deferred task
+//    from the continuation, so no pool thread ever blocks on another
+//    request's synthesis. GetOrSynthesize is a blocking adapter for tests
+//    and one-shot callers: it waits for the continuation on a per-call
+//    signal, and a cancel of its own request (SynthesisOptions::cancel)
+//    interrupts that wait instead of riding out a foreign owner.
 //  - max_programs subsumption: an entry synthesized under a larger
 //    max_programs cap serves smaller-cap queries by truncating its program
 //    list. That is exact, not approximate: SynthesizePrograms keeps the
@@ -51,18 +48,17 @@
 //  - Bounded size (optional): constructed with max_entries > 0 the cache
 //    holds at most that many entries, evicting the least-recently-used on
 //    overflow (`evictions` stat). Eviction only ever costs re-synthesis —
-//    results are unchanged — and it never drops an entry a concurrent
-//    in-flight waiter is about to be served from: a waiter reserves its
-//    base key before blocking and releases the reservation only after its
-//    post-wake lookup, so a reserved base is immune to eviction for the
-//    whole window between publication and the last waiter's read.
+//    results are unchanged — and it never drops an entry a deferred lookup
+//    is about to be served from: the kInFlight lookup reserves its base key
+//    and only its retry releases the reservation, so a reserved base is
+//    immune to eviction for the whole window between publication and the
+//    last deferred caller's read.
 //
 // The cache can also be warmed from and persisted to disk across processes
 // via engine/cache_store.h (Preload/Snapshot below).
 #ifndef P2_ENGINE_SYNTHESIS_CACHE_H_
 #define P2_ENGINE_SYNTHESIS_CACHE_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <list>
@@ -88,25 +84,18 @@ struct SynthesisCacheStats {
   /// Hits served by truncating an entry synthesized under a larger
   /// max_programs cap (a subset of `hits`).
   std::int64_t subsumed_hits = 0;
-  /// Lookups that blocked on a concurrent in-flight synthesis of the same
-  /// signature instead of running their own (a subset of `hits`).
-  std::int64_t dedup_waits = 0;
   /// Hits served by an entry a *different tenant's* query synthesized (a
   /// subset of `hits`; see the tenant tag on GetOrSynthesize) — the
   /// cross-cluster sharing a multi-tenant service exists for.
   std::int64_t cross_tenant_hits = 0;
   /// Entries dropped by the LRU cap (max_entries in the constructor).
   std::int64_t evictions = 0;
-  /// TryLookup calls that found a foreign in-flight synthesis and registered
-  /// a completion continuation instead of parking (TryLookupState::kInFlight
-  /// returns — the non-blocking counterpart of dedup_waits).
+  /// Lookups that found a foreign in-flight synthesis and registered a
+  /// completion continuation (TryLookupState::kInFlight returns, blocking
+  /// GetOrSynthesize calls included).
   std::int64_t deferred_lookups = 0;
   /// Continuations fired at owner completion or withdrawal.
   std::int64_t continuations_fired = 0;
-  /// GetOrSynthesize calls that parked their thread behind a foreign
-  /// in-flight synthesis (one per park, not per call). The deferral-aware
-  /// pipeline keeps this at 0: its lookups go through TryLookup.
-  std::int64_t waiter_parks = 0;
   /// Local misses served by fetching a foreign worker's entry from the
   /// remote cache plane (engine/remote_cache.h; a subset of `hits`). Zero
   /// without an attached backend.
@@ -124,7 +113,7 @@ struct SynthesisCacheStats {
   double disk_seconds_saved = 0.0;
 };
 
-/// How a single GetOrSynthesize call was resolved, from the caller's
+/// How a single lookup was resolved, from the caller's
 /// perspective. Concurrent queries sharing one cache cannot attribute the
 /// global stats() deltas to themselves; this per-call outcome is what the
 /// pipeline sums into its per-request PipelineStats instead.
@@ -136,7 +125,6 @@ struct CacheLookupOutcome {
   /// hits).
   bool from_remote = false;
   bool subsumed = false;   ///< served by truncating a larger-cap entry
-  bool waited = false;     ///< blocked on a concurrent in-flight synthesis
   /// Served by an entry another tenant's query synthesized (see the tenant
   /// tag on GetOrSynthesize; never set for disk-preloaded entries, which
   /// belong to no tenant).
@@ -210,20 +198,25 @@ class SynthesisCache {
   void set_remote(std::shared_ptr<RemoteCacheBackend> remote);
 
   /// Returns the memoized synthesis result for `sh`'s signature under
-  /// `options`, running core::SynthesizePrograms on a miss. Safe to call
-  /// concurrently; see the file comment for the in-flight-dedup,
-  /// max_programs-subsumption and LRU semantics. `outcome`, when non-null,
-  /// receives how this particular call was resolved. `tenant` is an opaque
-  /// caller identity (the service's tenant id) used only for the
-  /// cross-tenant-reuse accounting.
+  /// `options`, running core::SynthesizePrograms on a miss: a blocking
+  /// adapter over TryLookup. kOwned runs SynthesizeOwned; kInFlight waits
+  /// on a per-call signal the continuation fires, then retries. Safe to
+  /// call concurrently; see the file comment for the in-flight-dedup,
+  /// max_programs-subsumption and LRU semantics. A cancel or deadline of
+  /// `options.cancel` interrupts the wait: the deferral is settled with
+  /// CancelDeferred and CancelledError / DeadlineExceededError thrown.
+  /// `outcome`, when non-null, receives how this particular call was
+  /// resolved. `tenant` is an opaque caller identity (the service's tenant
+  /// id) used only for the cross-tenant-reuse accounting.
   std::shared_ptr<const core::SynthesisResult> GetOrSynthesize(
       const core::SynthesisHierarchy& sh, const core::SynthesisOptions& options,
       CacheLookupOutcome* outcome = nullptr, std::int64_t tenant = kNoTenant);
 
-  /// Non-blocking lookup. kReady serves exactly like GetOrSynthesize's hit
-  /// path (same stats and outcome attribution). kOwned announces this
-  /// caller as the in-flight owner — it must run the synthesis itself and
-  /// settle with CompleteOwned / AbandonOwned. kInFlight registers
+  /// Non-blocking lookup, the cache's only lookup path. kReady serves from
+  /// the table (hit stats and outcome attribution). kOwned announces this
+  /// caller as the in-flight owner — it must run SynthesizeOwned (or
+  /// synthesize itself and settle with CompleteOwned / AbandonOwned).
+  /// kInFlight registers
   /// `on_resolved` to fire (outside the cache lock, from whichever thread
   /// settles the flight) when the current owner publishes or withdraws,
   /// takes an eviction reservation, and marks `deferred` active; the caller
@@ -241,23 +234,32 @@ class SynthesisCache {
                             CacheLookupOutcome* outcome = nullptr,
                             std::int64_t tenant = kNoTenant);
 
+  /// The owner sequence of a kOwned TryLookup: FetchRemoteOwned, else a
+  /// local core::SynthesizePrograms settled with CompleteOwned — or, when
+  /// the synthesis throws (cancellation included), AbandonOwned and a
+  /// rethrow. Returns the served result; `outcome` is filled on a remote
+  /// hit and left a miss otherwise.
+  std::shared_ptr<const core::SynthesisResult> SynthesizeOwned(
+      const core::SynthesisHierarchy& sh, const core::SynthesisOptions& options,
+      CacheLookupOutcome* outcome = nullptr, std::int64_t tenant = kNoTenant);
+
   /// Publishes the result of a kOwned TryLookup (the owner's miss — counted
-  /// here), fires registered continuations, and wakes parked waiters.
+  /// here), fires registered continuations, and publishes the entry to the
+  /// remote plane when one is attached.
   void CompleteOwned(const core::SynthesisHierarchy& sh,
                      const core::SynthesisOptions& options,
                      std::shared_ptr<const core::SynthesisResult> result,
                      std::int64_t tenant = kNoTenant);
 
   /// Withdraws a kOwned announcement whose synthesis failed (cancellation
-  /// included): continuations fire and parked waiters wake, and each
-  /// retries and re-dispatches — the dead-owner contract of the parked
-  /// path, verbatim.
+  /// included): continuations fire, and each deferred caller retries and
+  /// claims the synthesis itself.
   void AbandonOwned(const core::SynthesisHierarchy& sh,
                     const core::SynthesisOptions& options);
 
   /// Settles an active deferred lookup without retrying: releases its
-  /// eviction reservation — exactly like a cancelled parked waiter — and
-  /// withdraws its continuation registration. A continuation already
+  /// eviction reservation and withdraws its continuation registration. A
+  /// continuation already
   /// extracted by a settling owner may still fire afterwards; that late
   /// fire must be a no-op for the caller. No-op on an inactive handle.
   void CancelDeferred(DeferredLookup* deferred);
@@ -265,15 +267,15 @@ class SynthesisCache {
   /// Remote consult for a kOwned TryLookup, before the owner pays for a
   /// local synthesis. Non-null when the plane served the signature: the
   /// fetched result was adopted into the table, the owner's flight was
-  /// settled (waking parked waiters and firing continuations), the fetch
-  /// was counted as a hit + remote_hit, and `outcome` was filled — the
-  /// caller must NOT call CompleteOwned/AbandonOwned and uses the returned
-  /// (cap-truncated) result directly. Null — no backend, plane unavailable,
-  /// plane miss with the grant now ours, or retry budget exhausted — leaves
-  /// the flight untouched: synthesize locally and settle as usual
-  /// (CompleteOwned publishes back to the plane). May block for bounded
-  /// retry-after waits behind a foreign in-flight synthesis; returns early
-  /// (null) when `options.cancel` fires.
+  /// settled (firing its continuations), the fetch was counted as a hit +
+  /// remote_hit, and `outcome` was filled — the caller must NOT call
+  /// CompleteOwned/AbandonOwned and uses the returned (cap-truncated)
+  /// result directly. Null — no backend, plane unavailable, plane miss with
+  /// the grant now ours, or retry budget exhausted — leaves the flight
+  /// untouched: synthesize locally and settle as usual (CompleteOwned
+  /// publishes back to the plane). May block for bounded retry-after waits
+  /// behind a foreign in-flight synthesis; a cancel or deadline of
+  /// `options.cancel` cuts such a wait short and returns null.
   std::shared_ptr<const core::SynthesisResult> FetchRemoteOwned(
       const core::SynthesisHierarchy& sh, const core::SynthesisOptions& options,
       CacheLookupOutcome* outcome = nullptr);
@@ -368,55 +370,40 @@ class SynthesisCache {
     }
   };
 
-  /// One signature currently being synthesized; later arrivals block in
-  /// Wait() instead of synthesizing again. The owner signals completion (or
-  /// withdrawal) with MarkDone(); a cancellable waiter additionally
-  /// registers the cv with its own CancelToken (common/cancel.h), so a
-  /// cancel of *its* request wakes it immediately — no poll interval.
-  struct InFlight {
-    void MarkDone();
-    /// Blocks until MarkDone(); true then. False when `cancel` aborted
-    /// first — including deadline expiry, which never notifies a cv, so the
-    /// block is bounded by the token's armed deadline.
-    bool Wait(const CancelToken& cancel);
-
-    std::mutex m;
-    std::condition_variable cv;
-    bool done = false;
-
-    /// One deferred waiter's completion callback. Guarded by the *cache's*
-    /// mu_ (not by `m`): registration, withdrawal, and extraction all
-    /// happen under the cache lock; firing happens outside every lock.
-    struct Continuation {
-      std::uint64_t id = 0;
-      std::function<void()> fn;
-    };
-    std::vector<Continuation> continuations;
+  /// One deferred lookup's completion callback, registered on the flight of
+  /// its base. Guarded by mu_: registration, withdrawal, and extraction all
+  /// happen under the cache lock; firing happens outside every lock.
+  struct Continuation {
+    std::uint64_t id = 0;
+    std::function<void()> fn;
   };
 
   /// Inserts or replaces the entry at `base` (mu_ held), maintaining the
   /// LRU list.
   Entry& PublishLocked(const std::string& base, Entry entry);
-  /// The shared hit path of GetOrSynthesize and TryLookup: LRU touch, hit
-  /// stats and outcome attribution, then (unlocked) the exact subsumption
-  /// truncation. `lock` must hold mu_ on entry; released on return.
+  /// TryLookup's hit path: LRU touch, hit stats and outcome attribution,
+  /// then (unlocked) the exact subsumption truncation. `lock` must hold mu_
+  /// on entry; released on return.
   std::shared_ptr<const core::SynthesisResult> ServeHitLocked(
       std::unique_lock<std::mutex>& lock, Entry& entry, std::int64_t cap,
-      std::int64_t tenant, bool waited, CacheLookupOutcome* outcome);
+      std::int64_t tenant, CacheLookupOutcome* outcome);
   /// Settles the flight at `base`: erases the announcement and extracts its
-  /// continuations under `lock`, then (unlocked) wakes parked waiters and
-  /// fires the continuations. `lock` must hold mu_ on entry; released on
-  /// return.
+  /// continuations under `lock`, then (unlocked) fires them. `lock` must
+  /// hold mu_ on entry; released on return.
   void SettleFlight(std::unique_lock<std::mutex>& lock,
                     const std::string& base);
+  /// Releases an active deferred lookup's eviction reservation and marks it
+  /// inactive (mu_ held).
+  void ReleaseReservationLocked(DeferredLookup* deferred);
   /// Moves `base` to the front of the LRU list (mu_ held).
   void TouchLocked(Entry& entry);
   /// The remote-plane lookup loop (no lock held): kHit fills
   /// `result`/`entry_cap` and returns true; kOwned returns false (the grant
-  /// is ours — synthesize); kRetryAfter sleeps and retries within a bounded
+  /// is ours — synthesize); kRetryAfter waits and retries within a bounded
   /// budget; kUnavailable / exhausted budget / malformed reply count
-  /// remote_errors and return false. Checks `options.cancel` between
-  /// rounds.
+  /// remote_errors and return false. A cancel or deadline of
+  /// `options.cancel` — checked each round and interrupting the
+  /// retry-after wait — returns false.
   bool ConsultRemote(RemoteCacheBackend& remote, const std::string& base,
                      const core::SynthesisOptions& options,
                      core::SynthesisResult* result, std::int64_t* entry_cap);
@@ -426,20 +413,21 @@ class SynthesisCache {
   /// (cap-truncated) result. Takes mu_.
   std::shared_ptr<const core::SynthesisResult> AdoptRemoteHit(
       const std::string& base, core::SynthesisResult fetched,
-      std::int64_t entry_cap, std::int64_t cap, bool waited,
-      CacheLookupOutcome* outcome);
+      std::int64_t entry_cap, std::int64_t cap, CacheLookupOutcome* outcome);
   /// Drops least-recently-used entries until the cap holds, skipping bases
-  /// with outstanding waiter reservations (mu_ held); a no-op when
+  /// with outstanding deferred-lookup reservations (mu_ held); a no-op when
   /// max_entries_ <= 0.
   void EvictLocked();
 
   const std::int64_t max_entries_;
   mutable std::mutex mu_;
   std::unordered_map<std::string, Entry> entries_;  ///< by BaseKey
-  std::unordered_map<std::string, std::shared_ptr<InFlight>> inflight_;
-  /// Bases with in-flight waiters parked on them (count of waiters): a
-  /// reservation makes the base immune to LRU eviction until the waiter's
-  /// post-wake lookup has run, closing the publish-to-read window.
+  /// Bases being synthesized right now, each with the continuations of the
+  /// lookups deferred behind it.
+  std::unordered_map<std::string, std::vector<Continuation>> inflight_;
+  /// Bases with deferred lookups outstanding (count of lookups): a
+  /// reservation makes the base immune to LRU eviction until the deferred
+  /// lookup's retry has run, closing the publish-to-read window.
   std::unordered_map<std::string, std::int64_t> reserved_;
   std::list<std::string> lru_;  ///< base keys, most-recently-used first
   /// Tags deferred-lookup continuation registrations so CancelDeferred can

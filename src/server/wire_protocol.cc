@@ -216,7 +216,6 @@ void EncodePipelineStats(std::string* out, const engine::PipelineStats& s) {
   AppendI64(out, s.unique_hierarchies);
   AppendI64(out, s.cache_hits);
   AppendI64(out, s.cache_misses);
-  AppendI64(out, s.cache_dedup_waits);
   AppendI64(out, s.cache_deferred_lookups);
   AppendI64(out, s.cache_cross_tenant_hits);
   AppendI64(out, s.cache_disk_hits);
@@ -236,7 +235,6 @@ void EncodePipelineStats(std::string* out, const engine::PipelineStats& s) {
 bool DecodePipelineStats(Reader* r, engine::PipelineStats* s) {
   return r->ReadI64(&s->num_placements) && r->ReadI64(&s->unique_hierarchies) &&
          r->ReadI64(&s->cache_hits) && r->ReadI64(&s->cache_misses) &&
-         r->ReadI64(&s->cache_dedup_waits) &&
          r->ReadI64(&s->cache_deferred_lookups) &&
          r->ReadI64(&s->cache_cross_tenant_hits) &&
          r->ReadI64(&s->cache_disk_hits) &&

@@ -47,10 +47,11 @@
 namespace p2::server {
 
 inline constexpr std::string_view kFrameMagic = "P2RF";
-/// Bumped to 2 with the cache-server frames: the PlanResponse stats payload
-/// grew two counters, so a version-1 peer must fail fast with kBadVersion
-/// instead of misparsing.
-inline constexpr std::uint32_t kWireVersion = 2;
+/// Bumped whenever a payload layout changes, so an older peer fails fast
+/// with kBadVersion instead of misparsing: 2 added the cache-server frames
+/// and grew the PlanResponse stats payload by two counters; 3 dropped the
+/// in-flight-waits counter from that payload.
+inline constexpr std::uint32_t kWireVersion = 3;
 /// magic + version u32 + type u8 + payload_len u32 + checksum u64.
 inline constexpr std::size_t kFrameHeaderBytes = 21;
 /// Upper bound a decoder trusts from a length prefix; anything larger is

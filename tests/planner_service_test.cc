@@ -135,8 +135,8 @@ TEST(PlannerService, RacingQueriesSynthesizeEachSignatureExactlyOnce) {
 // fault hook stalling every synthesis frontier layer ~1ms — wide in-flight
 // windows, so requests constantly observe each other's open flights and the
 // deferred queue is actually exercised. Every output must stay
-// byte-identical to the serial reference, and on threaded services no pool
-// thread may ever park behind a foreign synthesis (waiter_parks == 0).
+// byte-identical to the serial reference, and every deferral must have been
+// resumed by exactly one fired continuation.
 TEST(PlannerService, DeferralSchedulingIsDeterministicUnderStalledOwners) {
   const Engine engine(topology::MakeA100Cluster(2), FastOptions());
   const auto configs = Configs();
@@ -175,33 +175,74 @@ TEST(PlannerService, DeferralSchedulingIsDeterministicUnderStalledOwners) {
             << "config " << order[f] << ", threads=" << threads
             << ", round=" << round;
       }
-      EXPECT_EQ(service.stats().cache.waiter_parks, 0)
-          << "threads=" << threads << ", round=" << round
-          << ": a pool thread parked behind a foreign synthesis";
+      const auto stats = service.stats();
+      EXPECT_EQ(stats.cache.continuations_fired, stats.cache.deferred_lookups)
+          << "threads=" << threads << ", round=" << round;
     }
   }
+}
 
-  // The parked-waiter scheduler must still be selectable and identical —
-  // it is the bench's tail-latency baseline.
-  PlannerServiceOptions parked;
-  parked.threads = 4;
-  parked.defer_inflight = false;
-  PlannerService service(engine, parked);
-  std::vector<PlanHandle> futures;
-  for (const std::size_t index : order) {
-    futures.push_back(service.Submit(RequestFor(configs[index])));
+// An inline (threads=1) service runs each Plan() on its caller's thread, so
+// concurrent callers do overlap on open flights: a caller deferring behind
+// another caller's synthesis must be resumed by that caller's continuation,
+// not return early or hang. Four callers plan duplicated configs at once
+// under stalled owners; every output must match the serial reference and
+// each unique signature must be synthesized exactly once.
+TEST(PlannerService, InlineServiceServesConcurrentCallers) {
+  const Engine engine(topology::MakeA100Cluster(2), FastOptions());
+  const auto configs = Configs();
+
+  std::vector<std::string> reference;
+  std::int64_t unique_signatures = 0;
+  {
+    PlannerService serial(engine, PlannerServiceOptions{.threads = 1});
+    for (const auto& config : configs) {
+      reference.push_back(CanonicalResultText(serial.Plan(RequestFor(config))));
+    }
+    unique_signatures = serial.stats().cache.misses;
   }
-  for (std::size_t f = 0; f < futures.size(); ++f) {
-    EXPECT_EQ(CanonicalResultText(futures[f].get()), reference[order[f]])
-        << "parked scheduler, config " << order[f];
+
+  FaultScope stall([](std::string_view point) {
+    if (point == "synth.layer") {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  PlannerService service(engine, PlannerServiceOptions{.threads = 1});
+  constexpr int kCallers = 4;
+  std::vector<std::vector<std::string>> outputs(kCallers);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      // Each caller walks the configs from a different starting point, so
+      // callers race on every signature from different directions.
+      for (std::size_t k = 0; k < configs.size(); ++k) {
+        const std::size_t index = (k + static_cast<std::size_t>(c)) %
+                                  configs.size();
+        outputs[static_cast<std::size_t>(c)].push_back(
+            CanonicalResultText(service.Plan(RequestFor(configs[index]))));
+      }
+    });
   }
-  EXPECT_EQ(service.stats().cache.deferred_lookups, 0);
+  for (auto& caller : callers) caller.join();
+
+  for (int c = 0; c < kCallers; ++c) {
+    for (std::size_t k = 0; k < configs.size(); ++k) {
+      const std::size_t index = (k + static_cast<std::size_t>(c)) %
+                                configs.size();
+      EXPECT_EQ(outputs[static_cast<std::size_t>(c)][k], reference[index])
+          << "caller " << c << ", config " << index;
+    }
+  }
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.cache.misses, unique_signatures);
+  EXPECT_EQ(stats.cache.continuations_fired, stats.cache.deferred_lookups);
+  EXPECT_EQ(stats.requests, kCallers * static_cast<std::int64_t>(configs.size()));
 }
 
 // A deterministic deferral window: the first synthesis is held open until
 // the test has *observed* other requests deferring behind it. Proves the
 // non-blocking path actually engages (deferred_lookups > 0) and resolves
-// without parking or perturbing any output.
+// without perturbing any output.
 TEST(PlannerService, DeferredRequestsResolveOnOwnerCompletion) {
   const Engine engine(topology::MakeA100Cluster(2), FastOptions());
   PlanRequest request;
@@ -246,7 +287,6 @@ TEST(PlannerService, DeferredRequestsResolveOnOwnerCompletion) {
   EXPECT_GT(stats.cache.deferred_lookups, 0)
       << "no racer ever deferred behind the held-open flight";
   EXPECT_EQ(stats.cache.continuations_fired, stats.cache.deferred_lookups);
-  EXPECT_EQ(stats.cache.waiter_parks, 0);
   EXPECT_EQ(stats.cache.misses, 2);  // each signature synthesized once
   EXPECT_EQ(stats.latency_count, 4);
   EXPECT_GT(stats.latency_p99_seconds, 0.0);

@@ -207,6 +207,23 @@ TEST(WireFrame, CorruptionsMapToTheirStatuses) {
   EXPECT_EQ(DecodeFrame(good, &out, &consumed), FrameDecodeStatus::kOk);
 }
 
+// Version 3 dropped a counter from the PlanResponse stats payload, so a
+// version-2 peer's frames must be refused rather than misparsed.
+TEST(WireFrame, PreviousVersionIsRefused) {
+  ASSERT_EQ(kWireVersion, 3u);
+  Frame frame;
+  frame.type = FrameType::kPlanResponse;
+  frame.payload = "stats payload";
+  std::string v2 = EncodeFrame(frame);
+  const std::uint32_t old_version = 2;
+  for (int i = 0; i < 4; ++i) {  // version u32 at offset 4, LE
+    v2[4 + i] = static_cast<char>((old_version >> (8 * i)) & 0xFF);
+  }
+  Frame out;
+  std::size_t consumed = 0;
+  EXPECT_EQ(DecodeFrame(v2, &out, &consumed), FrameDecodeStatus::kBadVersion);
+}
+
 // ---- payload codecs -------------------------------------------------------
 
 TEST(WirePayload, PlanRequestRoundTripsPresetForm) {

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -393,10 +394,11 @@ TEST(SynthesisCache, DiskPreloadedEntriesAreNeverCrossTenant) {
   EXPECT_FALSE(outcome.cross_tenant);
 }
 
-// ISSUE 7 regression: the in-flight dedup must never park waiters behind a
-// synthesis that died. The owner withdraws its announcement before waking
-// them, so each waiter re-checks the table, finds neither entry nor flight,
-// and synthesizes for itself — a dead owner costs a retry, never a hang.
+// Regression: the in-flight dedup must never strand waiters behind a
+// synthesis that died. The owner withdraws its announcement and fires their
+// continuations, so each blocked GetOrSynthesize retries, finds neither
+// entry nor flight, and synthesizes for itself — a dead owner costs a
+// retry, never a hang.
 TEST(SynthesisCache, DeadOwnerNeverParksItsWaitersForever) {
   SynthesisCache cache;
   const core::SynthesisOptions options;
@@ -407,7 +409,7 @@ TEST(SynthesisCache, DeadOwnerNeverParksItsWaitersForever) {
     if (point != "synth.layer") return;
     if (synth_calls.fetch_add(1) != 0) return;  // only the owner dies
     owner_inside.store(true);
-    // Hold the flight open until the waiter is parked behind it, then die.
+    // Hold the flight open until the waiter is waiting behind it, then die.
     for (int i = 0; i < 500 && !waiter_launched.load(); ++i) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
@@ -422,7 +424,7 @@ TEST(SynthesisCache, DeadOwnerNeverParksItsWaitersForever) {
   while (!owner_inside.load()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  // Same signature: the waiter parks behind the owner's in-flight record.
+  // Same signature: the waiter defers behind the owner's in-flight record.
   std::shared_ptr<const core::SynthesisResult> served;
   std::thread waiter(
       [&] { served = cache.GetOrSynthesize(IsomorphicB(), options); });
@@ -471,7 +473,7 @@ TEST(SynthesisCache, CancelledWaiterUnwindsWithoutDisturbingTheFlight) {
     EXPECT_THROW(cache.GetOrSynthesize(IsomorphicB(), cancellable),
                  CancelledError);
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));  // let it park
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));  // let it wait
   source.Cancel();
   waiter.join();  // returns promptly: the polling wait observed the cancel
   release_owner.store(true);
@@ -488,9 +490,10 @@ TEST(SynthesisCache, CancelledWaiterUnwindsWithoutDisturbingTheFlight) {
 // ISSUE 8 regression: the cancellable wait used to be a 5 ms poll loop, so
 // a cancelled waiter sat out up to a full poll period (and the server's
 // drain paid it per waiter). The wait is now a condition variable woken by
-// the owner's completion and by the waiter's own CancelToken, so the
-// cancel-to-wake latency is scheduler-bound — microseconds, not
-// milliseconds. One trial measures that latency; the *median* of five
+// the owner's completion (through the lookup's continuation) and by the
+// waiter's own CancelToken, so the cancel-to-wake latency is
+// scheduler-bound — microseconds, not milliseconds. One trial measures that
+// latency; the *median* of five
 // trials must come in well under the old poll period. (The median is the
 // discriminator: a reintroduced 5 ms poll wakes uniformly within (0, 5] ms,
 // whose median is ~2.5 ms, while staying robust against a couple of
@@ -526,7 +529,7 @@ double CancelWakeLatencyMsOnce() {
     }
     woke_at = std::chrono::steady_clock::now();
   });
-  // Let the waiter park behind the owner's flight before cancelling.
+  // Let the waiter defer behind the owner's flight before cancelling.
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   const auto cancelled_at = std::chrono::steady_clock::now();
   source.Cancel();
@@ -549,7 +552,7 @@ TEST(SynthesisCache, CancelledWaiterWakesWellUnderTheOldPollPeriod) {
                                "the old 5 ms poll";
 }
 
-// ISSUE 9: the non-blocking lookup surface. TryLookup never parks — it
+// The non-blocking lookup surface. TryLookup never blocks — it
 // either serves (kReady), claims ownership (kOwned), or registers a
 // continuation against the owner's flight (kInFlight) and returns.
 TEST(SynthesisCache, TryLookupServesClaimsAndDefers) {
@@ -563,7 +566,7 @@ TEST(SynthesisCache, TryLookupServesClaimsAndDefers) {
   EXPECT_FALSE(owner_handle.active());
 
   // ...and while its flight is open, another lookup on an isomorphic
-  // hierarchy defers: continuation registered, no park, no result yet.
+  // hierarchy defers: continuation registered, no result yet.
   std::atomic<bool> fired{false};
   SynthesisCache::DeferredLookup deferred;
   const auto in_flight = cache.TryLookup(
@@ -592,9 +595,6 @@ TEST(SynthesisCache, TryLookupServesClaimsAndDefers) {
   EXPECT_TRUE(outcome.hit);
   EXPECT_EQ(retried.result.get(), result.get());
   EXPECT_EQ(cache.stats().hits, 1);
-  // Nothing in the non-blocking protocol ever parked.
-  EXPECT_EQ(cache.stats().waiter_parks, 0);
-  EXPECT_EQ(cache.stats().dedup_waits, 0);
 }
 
 TEST(SynthesisCache, OwnerDeathFiresContinuationsAndHandsOffOwnership) {
@@ -632,9 +632,9 @@ TEST(SynthesisCache, OwnerDeathFiresContinuationsAndHandsOffOwnership) {
   EXPECT_TRUE(outcome.hit);
 }
 
-// ISSUE 9 satellite: a deferred waiter holds the same eviction reservation a
-// parked waiter would, and CancelDeferred must release it exactly like the
-// cancelled-parked-waiter path above — no leaked reservation pinning the
+// A deferred waiter holds an eviction reservation, and
+// CancelDeferred must release it exactly like the cancelled blocking waiter
+// above does — no leaked reservation pinning the
 // base in a capped cache forever.
 TEST(SynthesisCache, CancelDeferredReleasesTheEvictionReservation) {
   SynthesisCache cache(/*max_entries=*/1);
@@ -678,21 +678,20 @@ TEST(SynthesisCache, CancelDeferredReleasesTheEvictionReservation) {
   EXPECT_EQ(cache.stats().evictions, 1);
 }
 
-// The blocking path still accounts its parks — the counter the deferral
-// scheduler's tests pin to zero has to be live on the legacy path.
-TEST(SynthesisCache, ParkedWaiterCountsWaiterParks) {
+// The blocking adapter rides the same non-blocking path as the pipeline: a
+// GetOrSynthesize call behind a foreign flight defers exactly once, and the
+// owner's completion fires exactly that one continuation.
+TEST(SynthesisCache, BlockedAdapterCallDefersOnce) {
   SynthesisCache cache;
   const core::SynthesisOptions plain;
   std::atomic<bool> owner_inside{false};
-  std::atomic<bool> release_owner{false};
-  std::atomic<bool> waiter_parked{false};
   std::atomic<int> synth_calls{0};
   FaultScope scope([&](std::string_view point) {
     if (point != "synth.layer") return;
     if (synth_calls.fetch_add(1) != 0) return;  // only the owner stalls
     owner_inside.store(true);
-    while (!release_owner.load()) {
-      if (waiter_parked.load() && cache.stats().waiter_parks > 0) break;
+    // Hold the flight open until the waiter has deferred behind it.
+    while (cache.stats().deferred_lookups == 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
@@ -701,16 +700,76 @@ TEST(SynthesisCache, ParkedWaiterCountsWaiterParks) {
   while (!owner_inside.load()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  std::thread waiter([&] {
-    waiter_parked.store(true);
-    cache.GetOrSynthesize(IsomorphicB(), plain);
-  });
-  waiter.join();
-  release_owner.store(true);
+  CacheLookupOutcome outcome;
+  cache.GetOrSynthesize(IsomorphicB(), plain, &outcome);
   owner.join();
-  EXPECT_EQ(cache.stats().waiter_parks, 1);
-  EXPECT_EQ(cache.stats().dedup_waits, 1);
-  EXPECT_EQ(cache.stats().deferred_lookups, 0);
+  EXPECT_TRUE(outcome.hit);
+  EXPECT_EQ(cache.stats().deferred_lookups, 1);
+  EXPECT_EQ(cache.stats().continuations_fired, 1);
+  EXPECT_EQ(cache.stats().misses, 1);
+  EXPECT_EQ(cache.stats().hits, 1);
+}
+
+// A cache plane that never lets the lookup through: every round answers
+// retry-after at the 1 s ceiling.
+class AlwaysRetryAfter : public RemoteCacheBackend {
+ public:
+  RemoteLookupResult Lookup(const std::string&, std::int64_t) override {
+    RemoteLookupResult reply;
+    reply.kind = RemoteLookupResult::Kind::kRetryAfter;
+    reply.retry_after_ms = 1000;
+    return reply;
+  }
+  bool Publish(const std::string&, const core::SynthesisResult&) override {
+    return true;
+  }
+};
+
+// Runs FetchRemoteOwned against AlwaysRetryAfter under `token` and returns
+// how long it took to give up, in ms. `source` (when non-null) is cancelled
+// 20 ms in.
+double RetryAfterReturnMsOnce(CancelSource* source, const CancelToken& token) {
+  SynthesisCache cache;
+  cache.set_remote(std::make_shared<AlwaysRetryAfter>());
+  core::SynthesisOptions options;
+  options.cancel = token;
+  SynthesisCache::DeferredLookup handle;
+  EXPECT_EQ(cache.TryLookup(IsomorphicA(), options, [] {}, &handle).state,
+            SynthesisCache::TryLookupState::kOwned);
+  std::thread canceller([source] {
+    if (source == nullptr) return;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    source->Cancel();
+  });
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(cache.FetchRemoteOwned(IsomorphicA(), options), nullptr);
+  const double ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+  canceller.join();
+  cache.AbandonOwned(IsomorphicA(), options);
+  return ms;
+}
+
+// Regression: a retry-after round used to sleep its full retry_after_ms
+// (up to 1 s) regardless of the request's token, so a cancelled,
+// deadline-expired or drain-cancelled request held its pool thread that
+// long. The wait now wakes on the cancel and ends at the token's deadline.
+TEST(SynthesisCache, CancelInterruptsTheRemoteRetryAfterWait) {
+  std::vector<double> latencies_ms;
+  for (int trial = 0; trial < 5; ++trial) {
+    CancelSource source;
+    latencies_ms.push_back(RetryAfterReturnMsOnce(&source, source.token()));
+  }
+  std::sort(latencies_ms.begin(), latencies_ms.end());
+  const double median_ms = latencies_ms[latencies_ms.size() / 2];
+  EXPECT_LT(median_ms, 50.0) << "cancel 20 ms in; FetchRemoteOwned returned "
+                             << median_ms << " ms in (median)";
+
+  CancelSource expiring;
+  expiring.SetDeadlineAfter(std::chrono::milliseconds(20));
+  EXPECT_LT(RetryAfterReturnMsOnce(nullptr, expiring.token()), 500.0)
+      << "the retry-after wait outlived the token's 20 ms deadline";
 }
 
 TEST(SynthesisCache, ClearResetsEverything) {

@@ -212,15 +212,22 @@ TEST(TaskGroup, AbandonDeferredReleasesTheReservation) {
   abandoner.join();
 }
 
-TEST(TaskGroup, InlineModeCommitsDeferredTasksImmediately) {
+// Inline pools defer for real: a reservation holds Wait until another
+// thread commits, and the committed task runs on the waiting thread.
+TEST(TaskGroup, InlineModeWaitRunsTasksCommittedFromOtherThreads) {
   ThreadPool pool(1);
   ThreadPool::TaskGroup group(pool);
-  group.ReserveDeferred();  // no-op without workers
-  int count = 0;
-  group.CommitDeferred([&count] { ++count; });
-  EXPECT_EQ(count, 1);  // ran inline, like Submit
-  group.AbandonDeferred();  // no-op
-  group.Wait();
+  group.ReserveDeferred();
+  group.ReserveDeferred();
+  std::thread::id ran_on;
+  std::thread committer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    group.CommitDeferred([&ran_on] { ran_on = std::this_thread::get_id(); });
+    group.AbandonDeferred();
+  });
+  group.Wait();  // returns only after the committed task ran, here
+  committer.join();
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
 }
 
 TEST(TaskGroup, CancellableWaitInvokesAbortHookOnceAndDrains) {
