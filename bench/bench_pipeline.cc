@@ -136,10 +136,10 @@ struct VariantResult {
 void Accumulate(const ExperimentResult& result, VariantResult* v) {
   v->placements += result.pipeline.num_placements;
   v->unique += result.pipeline.unique_hierarchies;
-  v->hits += result.pipeline.cache_hits;
-  v->misses += result.pipeline.cache_misses;
-  v->disk_hits += result.pipeline.cache_disk_hits;
-  v->saved_seconds += result.pipeline.synthesis_seconds_saved;
+  v->hits += result.pipeline.cache.hits;
+  v->misses += result.pipeline.cache.misses;
+  v->disk_hits += result.pipeline.cache.disk_hits;
+  v->saved_seconds += result.pipeline.cache.seconds_saved;
   v->synth_seconds += result.pipeline.synthesis_seconds;
 }
 
@@ -481,7 +481,7 @@ int main(int argc, char** argv) {
     request.axes = cfg.axes;
     request.reduction_axes = cfg.reduction_axes;
     const auto result = service.Plan(std::move(request));
-    independent_misses += result.pipeline.cache_misses;
+    independent_misses += result.pipeline.cache.misses;
   }
   std::vector<ExperimentResult> concurrent_results;
   std::int64_t shared_misses = 0;

@@ -99,12 +99,11 @@ PlacementEvaluation Engine::EvaluatePlacement(
     const core::ParallelismMatrix& matrix,
     std::span<const int> reduction_axes) const {
   // A throwaway single-query service: this entry point predates the
-  // long-lived PlannerService and keeps its one-shot, cacheless semantics.
+  // long-lived PlannerService and keeps its one-shot, cacheless semantics
+  // (Pipeline::EvaluatePlacement never consults the cache).
   PlannerService service(*this);
   Pipeline pipeline(service, *this,
-                    PipelineOptions{.cache_synthesis = false,
-                                    .measure_top_k = -1,
-                                    .cancel = {}});
+                    PipelineOptions{.measure_top_k = -1, .cancel = {}});
   return pipeline.EvaluatePlacement(matrix, reduction_axes);
 }
 
@@ -115,9 +114,7 @@ PlacementEvaluation Engine::EvaluatePlacementGuided(
   // while a negative PipelineOptions::measure_top_k would mean "not guided".
   PlannerService service(*this);
   Pipeline pipeline(service, *this,
-                    PipelineOptions{.cache_synthesis = false,
-                                    .measure_top_k =
-                                        std::max(0, measure_top_k),
+                    PipelineOptions{.measure_top_k = std::max(0, measure_top_k),
                                     .cancel = {}});
   return pipeline.EvaluatePlacement(matrix, reduction_axes);
 }

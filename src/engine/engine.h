@@ -15,6 +15,7 @@
 #include "core/parallelism_matrix.h"
 #include "core/synthesizer.h"
 #include "cost/cost_model.h"
+#include "engine/synthesis_cache.h"
 #include "runtime/executor.h"
 #include "topology/cluster.h"
 
@@ -43,38 +44,24 @@ struct EngineOptions {
 
 /// Stage and cache statistics of the evaluation pipeline run that produced
 /// an ExperimentResult (engine/pipeline.h). Wall-clock fields vary run to
-/// run; the placements, programs and predictions are deterministic. The
-/// cache counters are *this request's own lookups* — under concurrent
-/// requests sharing one PlannerService, which request takes the miss for a
-/// shared signature depends on arrival order, so sums across requests are
-/// stable but the per-request split can vary. Service-wide figures (entries
-/// preloaded from disk, totals across requests) live in
-/// PlannerServiceStats, reported once per service instead of being repeated
-/// per experiment.
+/// run; the placements, programs and predictions are deterministic.
+/// Service-wide figures (entries preloaded from disk, totals across
+/// requests) live in PlannerServiceStats, reported once per service instead
+/// of being repeated per experiment.
 struct PipelineStats {
   std::int64_t num_placements = 0;
   std::int64_t unique_hierarchies = 0;  ///< distinct synthesis signatures
-  std::int64_t cache_hits = 0;
-  std::int64_t cache_misses = 0;
-  /// Lookups that found another request's in-flight synthesis and deferred
-  /// (re-enqueued through a completion continuation while the thread ran
-  /// other tasks) instead of re-synthesizing; each deferral's retry still
-  /// counts as a hit or, if the finished entry could not serve this cap, a
-  /// miss. This count depends on cross-request arrival order; only the sum
-  /// of hits+misses is per-request deterministic.
-  std::int64_t cache_deferred_lookups = 0;
-  /// Hits served by entries another tenant's query synthesized (a subset of
-  /// cache_hits; zero on a single-tenant service) — the cross-cluster
-  /// sharing a multi-tenant PlannerService exists for.
-  std::int64_t cache_cross_tenant_hits = 0;
-  /// Persistent-cache figures (engine/cache_store.h); all zero unless the
-  /// service was given a cache file.
-  std::int64_t cache_disk_hits = 0;  ///< hits served by on-disk entries
-  /// Hits served by fetching a foreign worker's entry from the remote cache
-  /// plane (engine/remote_cache.h; a subset of cache_hits). Zero unless the
-  /// service was given a remote cache backend — the cross-process sharing
-  /// the sharded grid runner (tools/p2_shard) exists for.
-  std::int64_t cache_remote_hits = 0;
+  /// The cache events *this request's own lookups* caused, summed in
+  /// placement order: one hit or miss per placement, plus its deferrals
+  /// behind other requests' in-flight syntheses (each deferral's retry
+  /// still counts the hit or miss), its remote-plane errors, and the
+  /// evictions and fired continuations of the entries it published. Under
+  /// concurrent requests sharing one PlannerService, which request takes
+  /// the miss for a shared signature depends on arrival order, so sums
+  /// across requests are stable but the per-request split can vary; only
+  /// hits + misses is per-request deterministic. All zero on the cacheless
+  /// path.
+  SynthesisCacheStats cache;
   /// Transposition-search totals (core::SynthesisStats) summed over the
   /// placements, counterfactually like TotalSynthesisSeconds: placements
   /// served from the signature cache contribute the stats of the shared
@@ -87,8 +74,6 @@ struct PipelineStats {
   /// measurement by more than the model's observed overprediction bound
   /// (sum of PlacementEvaluation::guided_skipped; deterministic).
   std::int64_t guided_skipped = 0;
-  double synthesis_seconds_saved = 0.0;  ///< re-synthesis avoided by the cache
-  double disk_seconds_saved = 0.0;       ///< portion saved across runs (disk)
   /// Time actually spent synthesizing, summed over the synthesis this
   /// request ran itself (owned signatures, remote-plane fetches included);
   /// synthesis and evaluation tasks interleave, so this is task time, not a

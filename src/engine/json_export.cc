@@ -20,6 +20,21 @@ std::string Num(double v) {
   return buf;
 }
 
+std::string Num(std::int64_t v) { return std::to_string(v); }
+
+/// The cache object of every scope (see ToJson(ExperimentResult)).
+std::string CacheJson(const SynthesisCacheStats& cache) {
+  std::string out = "{";
+  SynthesisCacheStats::ForEachField([&](const char* name, auto member) {
+    if (out.size() > 1) out += ',';
+    out += '"';
+    out += name;
+    out += "\":";
+    out += Num(cache.*member);
+  });
+  return out + '}';
+}
+
 }  // namespace
 
 std::string JsonEscape(const std::string& s) {
@@ -97,16 +112,7 @@ std::string ToJson(const ExperimentResult& result) {
      << "\"pipeline\":{"
      << "\"placements\":" << result.pipeline.num_placements << ","
      << "\"unique_hierarchies\":" << result.pipeline.unique_hierarchies << ","
-     << "\"cache_hits\":" << result.pipeline.cache_hits << ","
-     << "\"cache_misses\":" << result.pipeline.cache_misses << ","
-     << "\"cache_deferred_lookups\":"
-     << result.pipeline.cache_deferred_lookups << ","
-     << "\"cache_cross_tenant_hits\":"
-     << result.pipeline.cache_cross_tenant_hits << ","
-     << "\"cache_disk_hits\":" << result.pipeline.cache_disk_hits << ","
-     << "\"cache_remote_hits\":" << result.pipeline.cache_remote_hits << ","
-     << "\"disk_seconds_saved\":" << Num(result.pipeline.disk_seconds_saved)
-     << ","
+     << "\"cache\":" << CacheJson(result.pipeline.cache) << ","
      << "\"synth_states_visited\":" << result.pipeline.synth_states_visited
      << ","
      << "\"synth_states_deduped\":" << result.pipeline.synth_states_deduped
@@ -114,8 +120,6 @@ std::string ToJson(const ExperimentResult& result) {
      << "\"synth_branches_pruned\":" << result.pipeline.synth_branches_pruned
      << ","
      << "\"guided_skipped\":" << result.pipeline.guided_skipped << ","
-     << "\"synthesis_seconds_saved\":"
-     << Num(result.pipeline.synthesis_seconds_saved) << ","
      << "\"synthesis_seconds\":" << Num(result.pipeline.synthesis_seconds)
      << ","
      << "\"evaluation_seconds\":" << Num(result.pipeline.evaluation_seconds)
@@ -143,20 +147,7 @@ std::string ToJson(const PlannerServiceStats& stats) {
      << "\"cache_entries_loaded\":" << stats.cache_entries_loaded << ","
      << "\"cache_entries_expired\":" << stats.cache_entries_expired << ","
      << "\"engines_constructed\":" << stats.engines_constructed << ","
-     << "\"cache\":{"
-     << "\"hits\":" << stats.cache.hits << ","
-     << "\"misses\":" << stats.cache.misses << ","
-     << "\"disk_hits\":" << stats.cache.disk_hits << ","
-     << "\"remote_hits\":" << stats.cache.remote_hits << ","
-     << "\"remote_errors\":" << stats.cache.remote_errors << ","
-     << "\"subsumed_hits\":" << stats.cache.subsumed_hits << ","
-     << "\"deferred_lookups\":" << stats.cache.deferred_lookups << ","
-     << "\"continuations_fired\":" << stats.cache.continuations_fired << ","
-     << "\"cross_tenant_hits\":" << stats.cache.cross_tenant_hits << ","
-     << "\"evictions\":" << stats.cache.evictions << ","
-     << "\"seconds_saved\":" << Num(stats.cache.seconds_saved) << ","
-     << "\"disk_seconds_saved\":" << Num(stats.cache.disk_seconds_saved)
-     << "},"
+     << "\"cache\":" << CacheJson(stats.cache) << ","
      << "\"threads\":" << stats.threads << ","
      << "\"latency_count\":" << stats.latency_count << ","
      << "\"latency_p50_ms\":" << Num(stats.latency_p50_seconds * 1e3) << ","
@@ -171,17 +162,11 @@ std::string ToJson(const PlannerServiceStats& stats) {
        << "\"cluster\":\"" << JsonEscape(tenant.cluster) << "\","
        << "\"requests\":" << tenant.requests << ","
        << "\"placements\":" << tenant.placements << ","
-       << "\"cache_hits\":" << tenant.cache_hits << ","
-       << "\"cache_misses\":" << tenant.cache_misses << ","
-       << "\"cache_cross_tenant_hits\":" << tenant.cache_cross_tenant_hits
-       << ","
-       << "\"cache_disk_hits\":" << tenant.cache_disk_hits << ","
+       << "\"cache\":" << CacheJson(tenant.cache) << ","
        << "\"rejected\":" << tenant.rejected << ","
        << "\"cancelled\":" << tenant.cancelled << ","
        << "\"deadline_exceeded\":" << tenant.deadline_exceeded << ","
-       << "\"peak_in_flight\":" << tenant.peak_in_flight << ","
-       << "\"synthesis_seconds_saved\":"
-       << Num(tenant.synthesis_seconds_saved) << '}';
+       << "\"peak_in_flight\":" << tenant.peak_in_flight << '}';
   }
   os << "]}";
   return os.str();

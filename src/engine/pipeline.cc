@@ -169,18 +169,9 @@ PlacementEvaluation Pipeline::EvaluatePlacement(
   const auto sh = core::SynthesisHierarchy::Build(
       matrix, reduction_axes, engine_.options().hierarchy_kind,
       engine_.options().collapse_hierarchy);
-  // The engine's synthesis knobs plus this request's token. The token is
-  // execution-only (SynthesisCache::BaseKey excludes it), so entries are
-  // shared with tokenless requests.
   core::SynthesisOptions synth_options = engine_.options().synthesis;
   synth_options.cancel = options_.cancel;
-  if (options_.cache_synthesis) {
-    const auto synthesis = service_.cache().GetOrSynthesize(
-        sh, synth_options, nullptr, options_.tenant);
-    return Evaluate(matrix, sh, *synthesis);
-  }
-  const auto synthesis = core::SynthesizePrograms(sh, synth_options);
-  return Evaluate(matrix, sh, synthesis);
+  return Evaluate(matrix, sh, core::SynthesizePrograms(sh, synth_options));
 }
 
 ExperimentResult Pipeline::Run(std::span<const std::int64_t> axes,
@@ -235,7 +226,7 @@ ExperimentResult Pipeline::Run(std::span<const std::int64_t> axes,
 
   // Stages 3+4: synthesize once per unique signature, then
   // lower/predict/measure every placement, as one deferral-aware work loop.
-  // Each placement's lookup outcome lands in its own slot, so this
+  // Each placement's cache events land in its own record, so this
   // request's cache accounting below is deterministic in placement order
   // and never includes other requests' activity; the results land in
   // preallocated slots whose order equals placement order, which *is* the
@@ -249,7 +240,7 @@ ExperimentResult Pipeline::Run(std::span<const std::int64_t> axes,
   core::SynthesisOptions synth_options = engine_.options().synthesis;
   synth_options.cancel = options_.cancel;
   std::vector<std::shared_ptr<const core::SynthesisResult>> synthesis(n);
-  std::vector<CacheLookupOutcome> outcomes(n);
+  std::vector<SynthesisCacheStats> counted(n);
   result.placements.resize(n);
 
   // One self-re-enqueueing resolve task per signature group. Members
@@ -271,7 +262,6 @@ ExperimentResult Pipeline::Run(std::span<const std::int64_t> axes,
   };
   std::vector<GroupState> group_states(members_of.size());
   std::vector<double> eval_seconds(n, 0.0);
-  std::atomic<std::int64_t> deferred_events{0};
 
   // One FireState per deferral: whoever wins the fire-once CAS commits the
   // re-enqueued resolve task — the cache continuation, or the cancel kick
@@ -318,9 +308,8 @@ ExperimentResult Pipeline::Run(std::span<const std::int64_t> axes,
       fire->task = [&resolve, g] { resolve(g); };
       SynthesisCache::TryLookupResult looked = service_.cache().TryLookup(
           hierarchies[i], synth_options, [fire, try_fire] { try_fire(fire); },
-          &state.deferred, &outcomes[i], options_.tenant);
+          &state.deferred, &counted[i], options_.tenant);
       if (looked.state == SynthesisCache::TryLookupState::kInFlight) {
-        deferred_events.fetch_add(1, std::memory_order_relaxed);
         // Publish the pending fire for the cancel kick. If the kick already
         // ran, nobody walks the registry again — self-fire, and the
         // committed re-run observes the cancellation and unwinds.
@@ -345,14 +334,13 @@ ExperimentResult Pipeline::Run(std::span<const std::int64_t> axes,
         // throw (cancellation included), withdraws the claim first, the
         // dead-owner contract. The owner never defers on its own claim, so
         // every in-flight signature always has a running owner: owner
-        // chains cannot cycle. outcomes[i] stays the zeroed miss unless
-        // the plane served it.
+        // chains cannot cycle.
         const auto owned_start = std::chrono::steady_clock::now();
         synthesis[i] = service_.cache().SynthesizeOwned(
-            hierarchies[i], synth_options, &outcomes[i], options_.tenant);
+            hierarchies[i], synth_options, &counted[i], options_.tenant);
         state.synth_seconds += SecondsSince(owned_start);
       } else {
-        synthesis[i] = std::move(looked.result);  // kReady: outcome filled
+        synthesis[i] = std::move(looked.result);  // kReady: hit counted
       }
       ++state.next_member;
     }
@@ -427,25 +415,8 @@ ExperimentResult Pipeline::Run(std::span<const std::int64_t> axes,
   // Cache accounting from this request's own lookups, summed in placement
   // order (deterministic and double-reproducible — unlike global cache
   // deltas, which under concurrent requests would absorb everyone else's
-  // hits and misses). The cacheless path leaves all of it zero.
-  if (options_.cache_synthesis) {
-    for (const CacheLookupOutcome& o : outcomes) {
-      if (o.hit) {
-        ++result.pipeline.cache_hits;
-        result.pipeline.synthesis_seconds_saved += o.seconds_saved;
-        if (o.from_disk) {
-          ++result.pipeline.cache_disk_hits;
-          result.pipeline.disk_seconds_saved += o.seconds_saved;
-        }
-        if (o.from_remote) ++result.pipeline.cache_remote_hits;
-        if (o.cross_tenant) ++result.pipeline.cache_cross_tenant_hits;
-      } else {
-        ++result.pipeline.cache_misses;
-      }
-    }
-  }
-  result.pipeline.cache_deferred_lookups =
-      deferred_events.load(std::memory_order_relaxed);
+  // activity). The cacheless path never looks up, so it stays zero.
+  for (const SynthesisCacheStats& c : counted) result.pipeline.cache += c;
   result.pipeline.synthesis_seconds = synthesis_seconds;
   result.pipeline.evaluation_seconds = evaluation_seconds;
   result.pipeline.total_seconds = SecondsSince(start);

@@ -16,11 +16,10 @@
 // scheduler is deferral-aware: a signature group whose synthesis another
 // request owns re-enqueues itself through a SynthesisCache::TryLookup
 // continuation while the thread runs other pending tasks, so no pool
-// thread ever blocks on a foreign synthesis (PipelineStats::
-// cache_deferred_lookups counts the deferrals). Results are written into
-// preallocated slots and merged in enumeration order, which makes the
-// parallel output byte-identical to the serial path (modulo wall-clock
-// timing fields).
+// thread ever blocks on a foreign synthesis (PipelineStats::cache counts
+// the deferrals). Results are written into preallocated slots and merged
+// in enumeration order, which makes the parallel output byte-identical to
+// the serial path (modulo wall-clock timing fields).
 #ifndef P2_ENGINE_PIPELINE_H_
 #define P2_ENGINE_PIPELINE_H_
 
@@ -80,7 +79,8 @@ class Pipeline {
                        std::span<const int> reduction_axes);
 
   /// Single-placement entry point (stages 3-4 only, inline on the calling
-  /// thread); shares the service's cache like any other query.
+  /// thread): synthesizes directly, never through the service's cache, so
+  /// one-shot callers keep their cacheless semantics.
   PlacementEvaluation EvaluatePlacement(const core::ParallelismMatrix& matrix,
                                         std::span<const int> reduction_axes);
 

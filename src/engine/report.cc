@@ -8,6 +8,48 @@
 
 namespace p2::engine {
 
+namespace {
+
+/// One ", N <what>" segment of RenderCacheStats, shown when N > 0.
+struct CacheSegment {
+  std::int64_t SynthesisCacheStats::*counter;
+  const char* what;
+};
+
+constexpr CacheSegment kCacheSegments[] = {
+    {&SynthesisCacheStats::remote_hits, "remote hits"},
+    {&SynthesisCacheStats::cross_tenant_hits, "cross-tenant hits"},
+    {&SynthesisCacheStats::subsumed_hits, "served by subsumption"},
+    {&SynthesisCacheStats::deferred_lookups, "deferred lookups"},
+    {&SynthesisCacheStats::continuations_fired, "continuations fired"},
+    {&SynthesisCacheStats::evictions, "evictions"},
+    {&SynthesisCacheStats::remote_errors, "remote errors"},
+};
+
+/// The one human phrasing of the cache counters, shared by the pipeline:,
+/// service: and tenant lines: "cache H hits / M misses (S s re-synthesis
+/// avoided)", then the disk hits and each other nonzero counter.
+std::string RenderCacheStats(const SynthesisCacheStats& cache) {
+  std::ostringstream os;
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), " (%.2f s re-synthesis avoided)",
+                cache.seconds_saved);
+  os << "cache " << cache.hits << " hits / " << cache.misses << " misses"
+     << buf;
+  if (cache.disk_hits > 0) {
+    std::snprintf(buf, sizeof(buf), " (%.2f s saved across runs)",
+                  cache.disk_seconds_saved);
+    os << ", " << cache.disk_hits << " disk hits" << buf;
+  }
+  for (const CacheSegment& segment : kCacheSegments) {
+    const std::int64_t n = cache.*segment.counter;
+    if (n > 0) os << ", " << n << ' ' << segment.what;
+  }
+  return os.str();
+}
+
+}  // namespace
+
 std::vector<RankedPair> CollectPairs(const ExperimentResult& result) {
   std::vector<RankedPair> pairs;
   for (int pi = 0; pi < static_cast<int>(result.placements.size()); ++pi) {
@@ -64,30 +106,12 @@ std::string FormatSpeedup(double speedup) {
 std::string RenderPipelineStats(const PipelineStats& stats) {
   std::ostringstream os;
   os << "pipeline: " << stats.num_placements << " placements, "
-     << stats.unique_hierarchies << " unique hierarchies, cache "
-     << stats.cache_hits << " hits / " << stats.cache_misses << " misses";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), " (%.2f s re-synthesis avoided)",
-                stats.synthesis_seconds_saved);
-  os << buf << ", " << stats.threads
+     << stats.unique_hierarchies << " unique hierarchies, "
+     << RenderCacheStats(stats.cache) << ", " << stats.threads
      << (stats.threads == 1 ? " thread" : " threads");
-  if (stats.cache_deferred_lookups > 0) {
-    os << ", " << stats.cache_deferred_lookups << " deferred lookups";
-  }
-  if (stats.cache_cross_tenant_hits > 0) {
-    os << ", " << stats.cache_cross_tenant_hits << " cross-tenant hits";
-  }
   if (stats.guided_skipped > 0) {
     os << "\nguided: " << stats.guided_skipped
        << " measurements skipped by early stopping";
-  }
-  if (stats.cache_remote_hits > 0) {
-    os << ", " << stats.cache_remote_hits << " remote hits";
-  }
-  if (stats.cache_disk_hits > 0) {
-    std::snprintf(buf, sizeof(buf), " (%.2f s saved across runs)",
-                  stats.disk_seconds_saved);
-    os << "\ndisk cache: " << stats.cache_disk_hits << " disk hits" << buf;
   }
   os << "\nsearch: " << stats.synth_states_visited << " states visited, "
      << stats.synth_states_deduped << " transpositions collapsed, "
@@ -98,32 +122,8 @@ std::string RenderPipelineStats(const PipelineStats& stats) {
 std::string RenderServiceStats(const PlannerServiceStats& stats) {
   std::ostringstream os;
   os << "service: " << stats.requests
-     << (stats.requests == 1 ? " request" : " requests") << ", cache "
-     << stats.cache.hits << " hits / " << stats.cache.misses << " misses";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), " (%.2f s re-synthesis avoided)",
-                stats.cache.seconds_saved);
-  os << buf;
-  if (stats.cache.subsumed_hits > 0) {
-    os << ", " << stats.cache.subsumed_hits << " served by subsumption";
-  }
-  if (stats.cache.deferred_lookups > 0) {
-    os << ", " << stats.cache.deferred_lookups << " deferred lookups ("
-       << stats.cache.continuations_fired << " continuations fired)";
-  }
-  if (stats.cache.cross_tenant_hits > 0) {
-    os << ", " << stats.cache.cross_tenant_hits << " cross-tenant hits";
-  }
-  if (stats.cache.remote_hits > 0) {
-    os << ", " << stats.cache.remote_hits << " remote hits";
-  }
-  if (stats.cache.remote_errors > 0) {
-    os << ", " << stats.cache.remote_errors << " remote errors";
-  }
-  if (stats.cache.evictions > 0) {
-    os << ", " << stats.cache.evictions << " evictions";
-  }
-  os << ", " << stats.threads
+     << (stats.requests == 1 ? " request, " : " requests, ")
+     << RenderCacheStats(stats.cache) << ", " << stats.threads
      << (stats.threads == 1 ? " thread" : " threads");
   // Robustness counters render only when the run actually rejected,
   // cancelled, or timed out something, so classic reports are unchanged.
@@ -149,12 +149,9 @@ std::string RenderServiceStats(const PlannerServiceStats& stats) {
     os << latency_buf << " (" << stats.latency_count
        << (stats.latency_count == 1 ? " request)" : " requests)");
   }
-  if (stats.cache_entries_loaded > 0 || stats.cache.disk_hits > 0 ||
-      stats.cache_entries_expired > 0) {
-    std::snprintf(buf, sizeof(buf), " (%.2f s saved across runs)",
-                  stats.cache.disk_seconds_saved);
+  if (stats.cache_entries_loaded > 0 || stats.cache_entries_expired > 0) {
     os << "\nservice disk cache: " << stats.cache_entries_loaded
-       << " entries loaded, " << stats.cache.disk_hits << " disk hits" << buf;
+       << " entries loaded";
     if (stats.cache_entries_expired > 0) {
       os << ", " << stats.cache_entries_expired << " expired";
     }
@@ -162,21 +159,15 @@ std::string RenderServiceStats(const PlannerServiceStats& stats) {
   // One line per tenant (only when the registry holds more than the single
   // default tenant — the classic single-cluster footer stays unchanged).
   // The per-tenant cache split is attribution-approximate under races, like
-  // per-request PipelineStats; the sums match the service totals.
+  // per-request PipelineStats (see TenantStats for when the sums match the
+  // service totals).
   if (stats.tenants.size() > 1) {
     for (const TenantStats& tenant : stats.tenants) {
       os << "\ntenant " << tenant.id << " [" << tenant.cluster << "]: "
          << tenant.requests
          << (tenant.requests == 1 ? " request, " : " requests, ")
-         << tenant.placements << " placements, cache " << tenant.cache_hits
-         << " hits / " << tenant.cache_misses << " misses";
-      if (tenant.cache_cross_tenant_hits > 0) {
-        os << " (" << tenant.cache_cross_tenant_hits
-           << " served cross-tenant)";
-      }
-      if (tenant.cache_disk_hits > 0) {
-        os << ", " << tenant.cache_disk_hits << " disk hits";
-      }
+         << tenant.placements << " placements, "
+         << RenderCacheStats(tenant.cache);
       if (tenant.rejected > 0) {
         os << ", " << tenant.rejected << " rejected";
       }

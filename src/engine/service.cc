@@ -301,11 +301,7 @@ void PlannerService::AccumulateTenantStats(Tenant& tenant,
   TenantStats& stats = tenant.stats;
   ++stats.requests;
   stats.placements += result.pipeline.num_placements;
-  stats.cache_hits += result.pipeline.cache_hits;
-  stats.cache_misses += result.pipeline.cache_misses;
-  stats.cache_cross_tenant_hits += result.pipeline.cache_cross_tenant_hits;
-  stats.cache_disk_hits += result.pipeline.cache_disk_hits;
-  stats.synthesis_seconds_saved += result.pipeline.synthesis_seconds_saved;
+  stats.cache += result.pipeline.cache;
 }
 
 PlanHandle PlannerService::Submit(PlanRequest request) {

@@ -14,7 +14,7 @@
 //     │                      hierarchy signature is cluster-independent, so
 //     │                      tenants with different machines but overlapping
 //     │                      reduction factorizations dedup against each
-//     │                      other (cross_tenant_hits), with in-flight
+//     │                      other (cross-tenant hits), with in-flight
 //     │                      synthesis dedup and an optional LRU entry cap
 //     ├─ ThreadPool          one shared worker pool; concurrent requests'
 //     │                      work items interleave fairly (round-robin per
@@ -232,11 +232,14 @@ class PlanHandle {
 /// Per-tenant figures: one row per registered engine, in registration
 /// order. The cache split across tenants is attribution-approximate the
 /// same way per-request PipelineStats are — for a signature two tenants
-/// share, whichever request arrives first takes the miss. On a quiescent
-/// service (every submitted request completed) the sums across tenants
-/// match the service-wide cache totals; while requests are in flight the
-/// cache counters run ahead of the tenant rows, which only accumulate at
-/// request completion.
+/// share, whichever request arrives first takes the miss. A tenant row
+/// accumulates a request's PipelineStats::cache only when the request
+/// returns a result, so the lookups of a cancelled, timed-out or failed
+/// request count in the service-wide totals alone. The sums across tenants
+/// therefore match the service-wide cache totals once every submitted
+/// request has completed successfully — bar the evictions of a cache-file
+/// preload or a cache-plane publish, which no request caused. While
+/// requests are in flight the service totals run ahead of the tenant rows.
 struct TenantStats {
   /// Registration order, monotonically increasing from 0 and never reused
   /// or shared (the id doubles as the cache's cross-tenant attribution
@@ -248,13 +251,8 @@ struct TenantStats {
   std::string cluster;            ///< human-readable Cluster::ToString()
   std::int64_t requests = 0;      ///< completed requests (not submitted)
   std::int64_t placements = 0;
-  std::int64_t cache_hits = 0;
-  std::int64_t cache_misses = 0;
-  /// Hits served by entries another tenant's query synthesized — the
-  /// cross-cluster sharing a multi-tenant service exists for.
-  std::int64_t cache_cross_tenant_hits = 0;
-  std::int64_t cache_disk_hits = 0;
-  double synthesis_seconds_saved = 0.0;
+  /// The sum of the completed requests' PipelineStats::cache.
+  SynthesisCacheStats cache;
   // Robustness counters (the service's abort taxonomy, see the top of this
   // header): how this tenant's submissions ended other than successfully.
   std::int64_t rejected = 0;           ///< failed admission (PlanRejected)
@@ -448,7 +446,8 @@ class PlannerService {
   /// from `submitted`, drain wake-up).
   void FinishRequest(std::int64_t id, Tenant& tenant, std::exception_ptr error,
                      std::chrono::steady_clock::time_point submitted);
-  /// Folds a finished request's pipeline stats into its tenant's row.
+  /// Folds a request's pipeline stats into its tenant's row; only requests
+  /// that returned a result reach it.
   void AccumulateTenantStats(Tenant& tenant, const ExperimentResult& result);
 
   PlannerServiceOptions options_;

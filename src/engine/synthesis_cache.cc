@@ -36,6 +36,14 @@ bool ParseCapFromKey(const std::string& key, std::string* base,
   return true;
 }
 
+/// An event of `n` occurrences of one counter, for CountLocked.
+SynthesisCacheStats Event(std::int64_t SynthesisCacheStats::*counter,
+                          std::int64_t n = 1) {
+  SynthesisCacheStats event;
+  event.*counter = n;
+  return event;
+}
+
 /// A one-shot wake-up for a blocked caller: GetOrSynthesize's continuation
 /// fires it when the flight it deferred behind settles.
 struct Signal {
@@ -126,8 +134,14 @@ void SynthesisCache::set_remote(std::shared_ptr<RemoteCacheBackend> remote) {
   remote_ = std::move(remote);
 }
 
-SynthesisCache::Entry& SynthesisCache::PublishLocked(const std::string& base,
-                                                     Entry entry) {
+void SynthesisCache::CountLocked(const SynthesisCacheStats& event,
+                                 SynthesisCacheStats* counted) {
+  stats_ += event;
+  if (counted != nullptr) *counted += event;
+}
+
+SynthesisCache::Entry& SynthesisCache::PublishLocked(
+    const std::string& base, Entry entry, SynthesisCacheStats* counted) {
   const auto it = entries_.find(base);
   if (it != entries_.end()) {
     // Replacement (cap upgrade): keep the LRU slot, refreshed below.
@@ -139,7 +153,7 @@ SynthesisCache::Entry& SynthesisCache::PublishLocked(const std::string& base,
   lru_.push_front(base);
   entry.lru = lru_.begin();
   Entry& inserted = entries_.emplace(base, std::move(entry)).first->second;
-  EvictLocked();
+  EvictLocked(counted);
   return inserted;
 }
 
@@ -147,8 +161,9 @@ void SynthesisCache::TouchLocked(Entry& entry) {
   lru_.splice(lru_.begin(), lru_, entry.lru);
 }
 
-void SynthesisCache::EvictLocked() {
+void SynthesisCache::EvictLocked(SynthesisCacheStats* counted) {
   if (max_entries_ <= 0) return;
+  std::int64_t evicted = 0;
   auto it = lru_.end();
   while (it != lru_.begin() &&
          static_cast<std::int64_t>(entries_.size()) > max_entries_) {
@@ -159,13 +174,14 @@ void SynthesisCache::EvictLocked() {
     if (reserved_.find(*it) != reserved_.end()) continue;
     entries_.erase(*it);
     it = lru_.erase(it);
-    ++stats_.evictions;
+    ++evicted;
   }
+  CountLocked(Event(&SynthesisCacheStats::evictions, evicted), counted);
 }
 
 std::shared_ptr<const core::SynthesisResult> SynthesisCache::GetOrSynthesize(
     const core::SynthesisHierarchy& sh, const core::SynthesisOptions& options,
-    CacheLookupOutcome* outcome, std::int64_t tenant) {
+    SynthesisCacheStats* counted, std::int64_t tenant) {
   DeferredLookup deferred;
   for (;;) {
     // Co-owned by the continuation: one the owner extracted before a
@@ -173,12 +189,12 @@ std::shared_ptr<const core::SynthesisResult> SynthesisCache::GetOrSynthesize(
     auto resolved = std::make_shared<Signal>();
     TryLookupResult looked =
         TryLookup(sh, options, [resolved] { resolved->Fire(); }, &deferred,
-                  outcome, tenant);
+                  counted, tenant);
     switch (looked.state) {
       case TryLookupState::kReady:
         return std::move(looked.result);
       case TryLookupState::kOwned:
-        return SynthesizeOwned(sh, options, outcome, tenant);
+        return SynthesizeOwned(sh, options, counted, tenant);
       case TryLookupState::kInFlight:
         // Our *own* request aborting while we wait behind a foreign owner
         // that may never cancel: settle the deferral and unwind.
@@ -193,12 +209,12 @@ std::shared_ptr<const core::SynthesisResult> SynthesisCache::GetOrSynthesize(
 
 std::shared_ptr<const core::SynthesisResult> SynthesisCache::SynthesizeOwned(
     const core::SynthesisHierarchy& sh, const core::SynthesisOptions& options,
-    CacheLookupOutcome* outcome, std::int64_t tenant) {
+    SynthesisCacheStats* counted, std::int64_t tenant) {
   // Consult the remote cache plane before paying for a synthesis (null
   // without a backend). The flight is already announced, so local
   // concurrent lookups defer behind the remote round trip too and the
   // process makes one plane query per signature, not one per thread.
-  if (auto fetched = FetchRemoteOwned(sh, options, outcome)) return fetched;
+  if (auto fetched = FetchRemoteOwned(sh, options, counted)) return fetched;
   std::shared_ptr<const core::SynthesisResult> result;
   try {
     result = std::make_shared<const core::SynthesisResult>(
@@ -207,10 +223,10 @@ std::shared_ptr<const core::SynthesisResult> SynthesisCache::SynthesizeOwned(
     // Withdraw the announcement and fire the continuations: each deferred
     // caller retries, finds neither entry nor flight, and claims the
     // synthesis itself.
-    AbandonOwned(sh, options);
+    AbandonOwned(sh, options, counted);
     throw;
   }
-  CompleteOwned(sh, options, result, tenant);
+  CompleteOwned(sh, options, result, counted, tenant);
   return result;
 }
 
@@ -218,11 +234,12 @@ bool SynthesisCache::ConsultRemote(RemoteCacheBackend& remote,
                                    const std::string& base,
                                    const core::SynthesisOptions& options,
                                    core::SynthesisResult* result,
-                                   std::int64_t* entry_cap) {
+                                   std::int64_t* entry_cap,
+                                   SynthesisCacheStats* counted) {
   const std::int64_t cap = std::max<std::int64_t>(0, options.max_programs);
-  const auto count_error = [this] {
+  const auto count_error = [this, counted] {
     std::unique_lock<std::mutex> lock(mu_);
-    ++stats_.remote_errors;
+    CountLocked(Event(&SynthesisCacheStats::remote_errors), counted);
   };
   int waited_ms = 0;
   for (;;) {
@@ -282,7 +299,7 @@ bool SynthesisCache::ConsultRemote(RemoteCacheBackend& remote,
 
 std::shared_ptr<const core::SynthesisResult> SynthesisCache::AdoptRemoteHit(
     const std::string& base, core::SynthesisResult fetched,
-    std::int64_t entry_cap, std::int64_t cap, CacheLookupOutcome* outcome) {
+    std::int64_t entry_cap, std::int64_t cap, SynthesisCacheStats* counted) {
   const double original_seconds = fetched.stats.seconds;
   // Like Preload: this process spent nothing synthesizing, so the served
   // result reports zero seconds while the foreign wall-clock lives on in
@@ -296,24 +313,19 @@ std::shared_ptr<const core::SynthesisResult> SynthesisCache::AdoptRemoteHit(
   entry.max_programs = entry_cap;
   // owner_tenant stays kNoTenant: the entry was synthesized by a foreign
   // process, not by any tenant of this one.
-  Entry& published = PublishLocked(base, std::move(entry));
-  ++stats_.hits;
-  ++stats_.remote_hits;
-  stats_.seconds_saved += original_seconds;
+  Entry& published = PublishLocked(base, std::move(entry), counted);
   const bool subsumed =
       cap < static_cast<std::int64_t>(published.result->programs.size());
-  if (subsumed) ++stats_.subsumed_hits;
-  if (outcome != nullptr) {
-    *outcome = CacheLookupOutcome{};
-    outcome->hit = true;
-    outcome->from_remote = true;
-    outcome->subsumed = subsumed;
-    outcome->seconds_saved = original_seconds;
-  }
+  SynthesisCacheStats hit;
+  hit.hits = 1;
+  hit.remote_hits = 1;
+  hit.subsumed_hits = subsumed ? 1 : 0;
+  hit.seconds_saved = original_seconds;
+  CountLocked(hit, counted);
   auto result = published.result;
   // Settle the flight we claimed before consulting the plane: the deferred
   // lookups' retries are served from the adopted entry.
-  SettleFlight(lock, base);
+  SettleFlight(lock, base, counted);
   if (!subsumed) return result;
   auto truncated = std::make_shared<core::SynthesisResult>();
   truncated->stats = result->stats;
@@ -325,7 +337,7 @@ std::shared_ptr<const core::SynthesisResult> SynthesisCache::AdoptRemoteHit(
 
 std::shared_ptr<const core::SynthesisResult> SynthesisCache::FetchRemoteOwned(
     const core::SynthesisHierarchy& sh, const core::SynthesisOptions& options,
-    CacheLookupOutcome* outcome) {
+    SynthesisCacheStats* counted) {
   std::shared_ptr<RemoteCacheBackend> remote;
   {
     std::unique_lock<std::mutex> lock(mu_);
@@ -336,35 +348,30 @@ std::shared_ptr<const core::SynthesisResult> SynthesisCache::FetchRemoteOwned(
   const std::int64_t cap = std::max<std::int64_t>(0, options.max_programs);
   core::SynthesisResult fetched;
   std::int64_t entry_cap = 0;
-  if (!ConsultRemote(*remote, base, options, &fetched, &entry_cap)) {
+  if (!ConsultRemote(*remote, base, options, &fetched, &entry_cap, counted)) {
     return nullptr;
   }
-  return AdoptRemoteHit(base, std::move(fetched), entry_cap, cap, outcome);
+  return AdoptRemoteHit(base, std::move(fetched), entry_cap, cap, counted);
 }
 
 std::shared_ptr<const core::SynthesisResult> SynthesisCache::ServeHitLocked(
     std::unique_lock<std::mutex>& lock, Entry& entry, std::int64_t cap,
-    std::int64_t tenant, CacheLookupOutcome* outcome) {
+    std::int64_t tenant, SynthesisCacheStats* counted) {
   TouchLocked(entry);
-  ++stats_.hits;
-  stats_.seconds_saved += entry.original_seconds;
+  const bool subsumed =
+      cap < static_cast<std::int64_t>(entry.result->programs.size());
+  SynthesisCacheStats hit;
+  hit.hits = 1;
+  hit.seconds_saved = entry.original_seconds;
   if (entry.from_disk) {
-    ++stats_.disk_hits;
-    stats_.disk_seconds_saved += entry.original_seconds;
+    hit.disk_hits = 1;
+    hit.disk_seconds_saved = entry.original_seconds;
   }
   const bool cross_tenant = entry.owner_tenant != kNoTenant &&
                             tenant != kNoTenant && entry.owner_tenant != tenant;
-  if (cross_tenant) ++stats_.cross_tenant_hits;
-  const bool subsumed =
-      cap < static_cast<std::int64_t>(entry.result->programs.size());
-  if (subsumed) ++stats_.subsumed_hits;
-  if (outcome != nullptr) {
-    outcome->hit = true;
-    outcome->from_disk = entry.from_disk;
-    outcome->subsumed = subsumed;
-    outcome->cross_tenant = cross_tenant;
-    outcome->seconds_saved = entry.original_seconds;
-  }
+  hit.cross_tenant_hits = cross_tenant ? 1 : 0;
+  hit.subsumed_hits = subsumed ? 1 : 0;
+  CountLocked(hit, counted);
   auto result = entry.result;
   // The truncation copies up to `cap` programs — do it outside the lock,
   // off the snapshotted shared_ptr, so concurrent lookups on other
@@ -385,11 +392,14 @@ std::shared_ptr<const core::SynthesisResult> SynthesisCache::ServeHitLocked(
 }
 
 void SynthesisCache::SettleFlight(std::unique_lock<std::mutex>& lock,
-                                  const std::string& base) {
+                                  const std::string& base,
+                                  SynthesisCacheStats* counted) {
   const auto fit = inflight_.find(base);
   std::vector<Continuation> continuations = std::move(fit->second);
-  stats_.continuations_fired += static_cast<std::int64_t>(continuations.size());
   inflight_.erase(fit);
+  CountLocked(Event(&SynthesisCacheStats::continuations_fired,
+                    static_cast<std::int64_t>(continuations.size())),
+              counted);
   lock.unlock();
   // Outside every lock, so a continuation is free to call straight back
   // into the cache or into a ThreadPool group.
@@ -405,8 +415,7 @@ void SynthesisCache::ReleaseReservationLocked(DeferredLookup* deferred) {
 SynthesisCache::TryLookupResult SynthesisCache::TryLookup(
     const core::SynthesisHierarchy& sh, const core::SynthesisOptions& options,
     std::function<void()> on_resolved, DeferredLookup* deferred,
-    CacheLookupOutcome* outcome, std::int64_t tenant) {
-  if (outcome != nullptr) *outcome = CacheLookupOutcome{};
+    SynthesisCacheStats* counted, std::int64_t tenant) {
   const std::string base = BaseKey(sh, options);
   // Clamp like the synthesizer does: a non-positive cap means "no programs"
   // (core::SynthesizePrograms returns an empty list for it), so it is
@@ -423,7 +432,7 @@ SynthesisCache::TryLookupResult SynthesisCache::TryLookup(
   const auto it = entries_.find(base);
   if (it != entries_.end() && it->second.CanServe(cap)) {
     r.state = TryLookupState::kReady;
-    r.result = ServeHitLocked(lock, it->second, cap, tenant, outcome);
+    r.result = ServeHitLocked(lock, it->second, cap, tenant, counted);
     return r;
   }
   // Not servable from the table. If someone is synthesizing this signature
@@ -440,7 +449,7 @@ SynthesisCache::TryLookupResult SynthesisCache::TryLookup(
     deferred->base_ = base;
     deferred->id_ = next_continuation_id_++;
     fit->second.push_back(Continuation{deferred->id_, std::move(on_resolved)});
-    ++stats_.deferred_lookups;
+    CountLocked(Event(&SynthesisCacheStats::deferred_lookups), counted);
     r.state = TryLookupState::kInFlight;
     return r;
   }
@@ -453,7 +462,8 @@ SynthesisCache::TryLookupResult SynthesisCache::TryLookup(
 
 void SynthesisCache::CompleteOwned(
     const core::SynthesisHierarchy& sh, const core::SynthesisOptions& options,
-    std::shared_ptr<const core::SynthesisResult> result, std::int64_t tenant) {
+    std::shared_ptr<const core::SynthesisResult> result,
+    SynthesisCacheStats* counted, std::int64_t tenant) {
   const std::string base = BaseKey(sh, options);
   const std::int64_t cap = std::max<std::int64_t>(0, options.max_programs);
   const std::shared_ptr<const core::SynthesisResult> completed = result;
@@ -467,9 +477,9 @@ void SynthesisCache::CompleteOwned(
   entry.original_seconds = entry.result->stats.seconds;
   entry.max_programs = cap;
   entry.owner_tenant = tenant;
-  PublishLocked(base, std::move(entry));
-  ++stats_.misses;
-  SettleFlight(lock, base);
+  PublishLocked(base, std::move(entry), counted);
+  CountLocked(Event(&SynthesisCacheStats::misses), counted);
+  SettleFlight(lock, base, counted);
   // Publish to the remote plane after settling: local deferred lookups
   // never stall behind the wire, and a failed publish only loses
   // cross-worker reuse of this entry.
@@ -477,15 +487,16 @@ void SynthesisCache::CompleteOwned(
       !remote->Publish(
           base + std::string(kCapMarker) + std::to_string(cap), *completed)) {
     std::unique_lock<std::mutex> relock(mu_);
-    ++stats_.remote_errors;
+    CountLocked(Event(&SynthesisCacheStats::remote_errors), counted);
   }
 }
 
 void SynthesisCache::AbandonOwned(const core::SynthesisHierarchy& sh,
-                                  const core::SynthesisOptions& options) {
+                                  const core::SynthesisOptions& options,
+                                  SynthesisCacheStats* counted) {
   const std::string base = BaseKey(sh, options);
   std::unique_lock<std::mutex> lock(mu_);
-  SettleFlight(lock, base);
+  SettleFlight(lock, base, counted);
 }
 
 void SynthesisCache::CancelDeferred(DeferredLookup* deferred) {
@@ -559,7 +570,7 @@ bool SynthesisCache::PublishByKey(const std::string& key,
       std::make_shared<const core::SynthesisResult>(std::move(result));
   entry.original_seconds = original_seconds;
   entry.max_programs = cap;
-  PublishLocked(base, std::move(entry));
+  PublishLocked(base, std::move(entry), nullptr);
   return true;
 }
 
@@ -589,7 +600,7 @@ std::int64_t SynthesisCache::Preload(
     entry.original_seconds = original_seconds;
     entry.from_disk = true;
     entry.max_programs = cap;
-    PublishLocked(base, std::move(entry));
+    PublishLocked(base, std::move(entry), nullptr);
     ++inserted;
   }
   return inserted;

@@ -75,64 +75,87 @@
 
 namespace p2::engine {
 
+/// The cache's counters, one type at every scope: the cache-wide totals
+/// (SynthesisCache::stats()), the record a caller passes to a lookup to
+/// collect the events it caused (`counted` below) — concurrent queries
+/// cannot attribute global deltas to themselves — and the sums of those
+/// records per request (PipelineStats::cache) and tenant (TenantStats).
 struct SynthesisCacheStats {
   std::int64_t hits = 0;
   std::int64_t misses = 0;
   /// Hits served by an entry that was preloaded from a persistent store
   /// (engine/cache_store.h) rather than synthesized by this process.
   std::int64_t disk_hits = 0;
-  /// Hits served by truncating an entry synthesized under a larger
-  /// max_programs cap (a subset of `hits`).
-  std::int64_t subsumed_hits = 0;
-  /// Hits served by an entry a *different tenant's* query synthesized (a
-  /// subset of `hits`; see the tenant tag on GetOrSynthesize) — the
-  /// cross-cluster sharing a multi-tenant service exists for.
-  std::int64_t cross_tenant_hits = 0;
-  /// Entries dropped by the LRU cap (max_entries in the constructor).
-  std::int64_t evictions = 0;
-  /// Lookups that found a foreign in-flight synthesis and registered a
-  /// completion continuation (TryLookupState::kInFlight returns, blocking
-  /// GetOrSynthesize calls included).
-  std::int64_t deferred_lookups = 0;
-  /// Continuations fired at owner completion or withdrawal.
-  std::int64_t continuations_fired = 0;
   /// Local misses served by fetching a foreign worker's entry from the
-  /// remote cache plane (engine/remote_cache.h; a subset of `hits`). Zero
-  /// without an attached backend.
+  /// remote cache plane (engine/remote_cache.h; a subset of `hits` — later
+  /// local hits on the adopted entry are plain hits). Zero without an
+  /// attached backend.
   std::int64_t remote_hits = 0;
   /// Remote-plane operations that failed (unreachable server, malformed
   /// reply, exhausted retry budget behind a foreign grant). Each one
   /// degrades that lookup or publish to local-only — never an error for the
   /// caller.
   std::int64_t remote_errors = 0;
+  /// Hits served by truncating an entry synthesized under a larger
+  /// max_programs cap (a subset of `hits`).
+  std::int64_t subsumed_hits = 0;
+  /// Lookups that found a foreign in-flight synthesis and registered a
+  /// completion continuation (TryLookupState::kInFlight returns, blocking
+  /// GetOrSynthesize calls included).
+  std::int64_t deferred_lookups = 0;
+  /// Continuations fired at owner completion or withdrawal (counted on the
+  /// owner that settled the flight).
+  std::int64_t continuations_fired = 0;
+  /// Hits served by an entry a *different tenant's* query synthesized (a
+  /// subset of `hits`; see the tenant tag on GetOrSynthesize; never for
+  /// preloaded or remote entries, which belong to no tenant) — the
+  /// cross-cluster sharing a multi-tenant service exists for.
+  std::int64_t cross_tenant_hits = 0;
+  /// Entries dropped by the LRU cap (max_entries in the constructor),
+  /// counted on the publish that overflowed it.
+  std::int64_t evictions = 0;
   /// Sum of the original synthesis wall-clock of every entry served from the
   /// cache: the time a cacheless run would have spent re-synthesizing.
   double seconds_saved = 0.0;
   /// The portion of seconds_saved contributed by preloaded entries — the
   /// cross-run savings a persistent cache adds on top of in-process reuse.
   double disk_seconds_saved = 0.0;
+
+  /// Calls `visit(name, member)` for every field in declaration order
+  /// (`member` points to an std::int64_t or a double): the one list that
+  /// operator+=, the JSON export and the wire codec iterate. A new counter
+  /// needs its member, its line here and the line that counts it.
+  template <class Visit>
+  static constexpr void ForEachField(Visit&& visit) {
+    visit("hits", &SynthesisCacheStats::hits);
+    visit("misses", &SynthesisCacheStats::misses);
+    visit("disk_hits", &SynthesisCacheStats::disk_hits);
+    visit("remote_hits", &SynthesisCacheStats::remote_hits);
+    visit("remote_errors", &SynthesisCacheStats::remote_errors);
+    visit("subsumed_hits", &SynthesisCacheStats::subsumed_hits);
+    visit("deferred_lookups", &SynthesisCacheStats::deferred_lookups);
+    visit("continuations_fired", &SynthesisCacheStats::continuations_fired);
+    visit("cross_tenant_hits", &SynthesisCacheStats::cross_tenant_hits);
+    visit("evictions", &SynthesisCacheStats::evictions);
+    visit("seconds_saved", &SynthesisCacheStats::seconds_saved);
+    visit("disk_seconds_saved", &SynthesisCacheStats::disk_seconds_saved);
+  }
+
+  SynthesisCacheStats& operator+=(const SynthesisCacheStats& other) {
+    ForEachField([this, &other](const char*, auto member) {
+      this->*member += other.*member;
+    });
+    return *this;
+  }
 };
 
-/// How a single lookup was resolved, from the caller's
-/// perspective. Concurrent queries sharing one cache cannot attribute the
-/// global stats() deltas to themselves; this per-call outcome is what the
-/// pipeline sums into its per-request PipelineStats instead.
-struct CacheLookupOutcome {
-  bool hit = false;        ///< served without synthesizing in this call
-  bool from_disk = false;  ///< the serving entry was preloaded from disk
-  /// Served by fetching a foreign worker's entry from the remote cache
-  /// plane in this call (later local hits on the adopted entry are plain
-  /// hits).
-  bool from_remote = false;
-  bool subsumed = false;   ///< served by truncating a larger-cap entry
-  /// Served by an entry another tenant's query synthesized (see the tenant
-  /// tag on GetOrSynthesize; never set for disk-preloaded entries, which
-  /// belong to no tenant).
-  bool cross_tenant = false;
-  /// Original synthesis wall-clock of the serving entry (0.0 on a miss):
-  /// what this call would have spent without the cache.
-  double seconds_saved = 0.0;
-};
+static_assert([] {
+  std::size_t visited = 0;
+  SynthesisCacheStats::ForEachField([&](const char*, auto member) {
+    visited += sizeof(SynthesisCacheStats{}.*member);
+  });
+  return visited == sizeof(SynthesisCacheStats);
+}(), "every SynthesisCacheStats field needs its ForEachField line");
 
 class SynthesisCache {
  public:
@@ -205,18 +228,17 @@ class SynthesisCache {
   /// max_programs-subsumption and LRU semantics. A cancel or deadline of
   /// `options.cancel` interrupts the wait: the deferral is settled with
   /// CancelDeferred and CancelledError / DeadlineExceededError thrown.
-  /// `outcome`, when non-null, receives how this particular call was
-  /// resolved. `tenant` is an opaque caller identity (the service's tenant
+  /// `counted`, when non-null, accumulates the events this call caused (see
+  /// TryLookup). `tenant` is an opaque caller identity (the service's tenant
   /// id) used only for the cross-tenant-reuse accounting.
   std::shared_ptr<const core::SynthesisResult> GetOrSynthesize(
       const core::SynthesisHierarchy& sh, const core::SynthesisOptions& options,
-      CacheLookupOutcome* outcome = nullptr, std::int64_t tenant = kNoTenant);
+      SynthesisCacheStats* counted = nullptr, std::int64_t tenant = kNoTenant);
 
   /// Non-blocking lookup, the cache's only lookup path. kReady serves from
-  /// the table (hit stats and outcome attribution). kOwned announces this
-  /// caller as the in-flight owner — it must run SynthesizeOwned (or
-  /// synthesize itself and settle with CompleteOwned / AbandonOwned).
-  /// kInFlight registers
+  /// the table (counting the hit). kOwned announces this caller as the
+  /// in-flight owner — it must run SynthesizeOwned (or synthesize itself
+  /// and settle with CompleteOwned / AbandonOwned). kInFlight registers
   /// `on_resolved` to fire (outside the cache lock, from whichever thread
   /// settles the flight) when the current owner publishes or withdraws,
   /// takes an eviction reservation, and marks `deferred` active; the caller
@@ -225,37 +247,43 @@ class SynthesisCache {
   /// publish routes it to kOwned / kInFlight again. `on_resolved` must be
   /// safe to invoke at any later time from any thread, including after the
   /// caller lost interest (fire-once guards belong to the caller).
-  /// `deferred` is required; `outcome` is reset on every call, so the
-  /// settling call determines it.
+  /// `deferred` is required. `counted`, when non-null, is the caller's
+  /// record: every event counted into stats() is added to it as well. It is
+  /// never reset, so a caller passing one record through its deferrals,
+  /// retry and owner calls ends up with all of them — for a pipeline
+  /// placement, its deferrals plus exactly one hit or miss.
   TryLookupResult TryLookup(const core::SynthesisHierarchy& sh,
                             const core::SynthesisOptions& options,
                             std::function<void()> on_resolved,
                             DeferredLookup* deferred,
-                            CacheLookupOutcome* outcome = nullptr,
+                            SynthesisCacheStats* counted = nullptr,
                             std::int64_t tenant = kNoTenant);
 
   /// The owner sequence of a kOwned TryLookup: FetchRemoteOwned, else a
   /// local core::SynthesizePrograms settled with CompleteOwned — or, when
   /// the synthesis throws (cancellation included), AbandonOwned and a
-  /// rethrow. Returns the served result; `outcome` is filled on a remote
-  /// hit and left a miss otherwise.
+  /// rethrow. Returns the served result; the remote hit or the miss, and
+  /// whatever settling the flight caused, is added to `counted`.
   std::shared_ptr<const core::SynthesisResult> SynthesizeOwned(
       const core::SynthesisHierarchy& sh, const core::SynthesisOptions& options,
-      CacheLookupOutcome* outcome = nullptr, std::int64_t tenant = kNoTenant);
+      SynthesisCacheStats* counted = nullptr, std::int64_t tenant = kNoTenant);
 
   /// Publishes the result of a kOwned TryLookup (the owner's miss — counted
-  /// here), fires registered continuations, and publishes the entry to the
-  /// remote plane when one is attached.
+  /// here, with the evictions the publish forces and the continuations it
+  /// fires), and publishes the entry to the remote plane when one is
+  /// attached.
   void CompleteOwned(const core::SynthesisHierarchy& sh,
                      const core::SynthesisOptions& options,
                      std::shared_ptr<const core::SynthesisResult> result,
+                     SynthesisCacheStats* counted = nullptr,
                      std::int64_t tenant = kNoTenant);
 
   /// Withdraws a kOwned announcement whose synthesis failed (cancellation
-  /// included): continuations fire, and each deferred caller retries and
-  /// claims the synthesis itself.
+  /// included): continuations fire (counted into `counted`), and each
+  /// deferred caller retries and claims the synthesis itself.
   void AbandonOwned(const core::SynthesisHierarchy& sh,
-                    const core::SynthesisOptions& options);
+                    const core::SynthesisOptions& options,
+                    SynthesisCacheStats* counted = nullptr);
 
   /// Settles an active deferred lookup without retrying: releases its
   /// eviction reservation and withdraws its continuation registration. A
@@ -267,18 +295,18 @@ class SynthesisCache {
   /// Remote consult for a kOwned TryLookup, before the owner pays for a
   /// local synthesis. Non-null when the plane served the signature: the
   /// fetched result was adopted into the table, the owner's flight was
-  /// settled (firing its continuations), the fetch was counted as a hit +
-  /// remote_hit, and `outcome` was filled — the caller must NOT call
-  /// CompleteOwned/AbandonOwned and uses the returned (cap-truncated)
-  /// result directly. Null — no backend, plane unavailable, plane miss with
-  /// the grant now ours, or retry budget exhausted — leaves the flight
-  /// untouched: synthesize locally and settle as usual (CompleteOwned
-  /// publishes back to the plane). May block for bounded retry-after waits
-  /// behind a foreign in-flight synthesis; a cancel or deadline of
-  /// `options.cancel` cuts such a wait short and returns null.
+  /// settled (firing its continuations), and the fetch was counted as a
+  /// remote hit — the caller must NOT call CompleteOwned/AbandonOwned and
+  /// uses the returned (cap-truncated) result directly. Null — no backend,
+  /// plane unavailable, plane miss with the grant now ours, or retry budget
+  /// exhausted — leaves the flight untouched: synthesize locally and settle
+  /// as usual (CompleteOwned publishes back to the plane). May block for
+  /// bounded retry-after waits behind a foreign in-flight synthesis; a
+  /// cancel or deadline of `options.cancel` cuts such a wait short and
+  /// returns null. Hits and remote errors are added to `counted` too.
   std::shared_ptr<const core::SynthesisResult> FetchRemoteOwned(
       const core::SynthesisHierarchy& sh, const core::SynthesisOptions& options,
-      CacheLookupOutcome* outcome = nullptr);
+      SynthesisCacheStats* counted = nullptr);
 
   /// Cache-plane (server-side) lookup by persisted base key, for the wire
   /// cache server (src/server/planner_server.h). Non-blocking: true when an
@@ -378,20 +406,26 @@ class SynthesisCache {
     std::function<void()> fn;
   };
 
+  /// Adds `event` to stats_ and, when non-null, to the caller's record
+  /// (mu_ held): the one place a cache event is counted.
+  void CountLocked(const SynthesisCacheStats& event,
+                   SynthesisCacheStats* counted);
   /// Inserts or replaces the entry at `base` (mu_ held), maintaining the
-  /// LRU list.
-  Entry& PublishLocked(const std::string& base, Entry entry);
-  /// TryLookup's hit path: LRU touch, hit stats and outcome attribution,
-  /// then (unlocked) the exact subsumption truncation. `lock` must hold mu_
-  /// on entry; released on return.
+  /// LRU list; evictions it forces are counted into `counted`.
+  Entry& PublishLocked(const std::string& base, Entry entry,
+                       SynthesisCacheStats* counted);
+  /// TryLookup's hit path: LRU touch, hit counting, then (unlocked) the
+  /// exact subsumption truncation. `lock` must hold mu_ on entry; released
+  /// on return.
   std::shared_ptr<const core::SynthesisResult> ServeHitLocked(
       std::unique_lock<std::mutex>& lock, Entry& entry, std::int64_t cap,
-      std::int64_t tenant, CacheLookupOutcome* outcome);
+      std::int64_t tenant, SynthesisCacheStats* counted);
   /// Settles the flight at `base`: erases the announcement and extracts its
-  /// continuations under `lock`, then (unlocked) fires them. `lock` must
-  /// hold mu_ on entry; released on return.
-  void SettleFlight(std::unique_lock<std::mutex>& lock,
-                    const std::string& base);
+  /// continuations under `lock` (counting them into `counted`), then
+  /// (unlocked) fires them. `lock` must hold mu_ on entry; released on
+  /// return.
+  void SettleFlight(std::unique_lock<std::mutex>& lock, const std::string& base,
+                    SynthesisCacheStats* counted);
   /// Releases an active deferred lookup's eviction reservation and marks it
   /// inactive (mu_ held).
   void ReleaseReservationLocked(DeferredLookup* deferred);
@@ -400,24 +434,25 @@ class SynthesisCache {
   /// The remote-plane lookup loop (no lock held): kHit fills
   /// `result`/`entry_cap` and returns true; kOwned returns false (the grant
   /// is ours — synthesize); kRetryAfter waits and retries within a bounded
-  /// budget; kUnavailable / exhausted budget / malformed reply count
-  /// remote_errors and return false. A cancel or deadline of
+  /// budget; kUnavailable / exhausted budget / malformed reply count a
+  /// remote error and return false. A cancel or deadline of
   /// `options.cancel` — checked each round and interrupting the
   /// retry-after wait — returns false.
   bool ConsultRemote(RemoteCacheBackend& remote, const std::string& base,
                      const core::SynthesisOptions& options,
-                     core::SynthesisResult* result, std::int64_t* entry_cap);
+                     core::SynthesisResult* result, std::int64_t* entry_cap,
+                     SynthesisCacheStats* counted);
   /// Adopts a remote-plane hit while owning the flight at `base`: publishes
   /// the fetched entry (serve seconds zeroed, original retained), counts a
-  /// hit + remote_hit, fills `outcome`, settles the flight, and returns the
-  /// (cap-truncated) result. Takes mu_.
+  /// remote hit, settles the flight, and returns the (cap-truncated)
+  /// result. Takes mu_.
   std::shared_ptr<const core::SynthesisResult> AdoptRemoteHit(
       const std::string& base, core::SynthesisResult fetched,
-      std::int64_t entry_cap, std::int64_t cap, CacheLookupOutcome* outcome);
+      std::int64_t entry_cap, std::int64_t cap, SynthesisCacheStats* counted);
   /// Drops least-recently-used entries until the cap holds, skipping bases
   /// with outstanding deferred-lookup reservations (mu_ held); a no-op when
   /// max_entries_ <= 0.
-  void EvictLocked();
+  void EvictLocked(SynthesisCacheStats* counted);
 
   const std::int64_t max_entries_;
   mutable std::mutex mu_;

@@ -48,6 +48,11 @@ void AppendF64(std::string* out, double v) {
   AppendU64(out, std::bit_cast<std::uint64_t>(v));
 }
 
+// Overloads for the SynthesisCacheStats field loop, whose members are
+// int64 counters and double seconds.
+void Append(std::string* out, std::int64_t v) { AppendI64(out, v); }
+void Append(std::string* out, double v) { AppendF64(out, v); }
+
 void AppendString(std::string* out, std::string_view s) {
   AppendU32(out, static_cast<std::uint32_t>(s.size()));
   out->append(s);
@@ -113,6 +118,9 @@ class Reader {
     *v = std::bit_cast<double>(u);
     return true;
   }
+
+  bool Read(std::int64_t* v) { return ReadI64(v); }
+  bool Read(double* v) { return ReadF64(v); }
 
   bool ReadString(std::string* v) {
     std::uint32_t len = 0;
@@ -211,21 +219,17 @@ bool DecodeCluster(Reader* r, topology::Cluster* cluster, std::string* error) {
   return true;
 }
 
+// The cache record travels whole, field by field in
+// SynthesisCacheStats::ForEachField order.
 void EncodePipelineStats(std::string* out, const engine::PipelineStats& s) {
   AppendI64(out, s.num_placements);
   AppendI64(out, s.unique_hierarchies);
-  AppendI64(out, s.cache_hits);
-  AppendI64(out, s.cache_misses);
-  AppendI64(out, s.cache_deferred_lookups);
-  AppendI64(out, s.cache_cross_tenant_hits);
-  AppendI64(out, s.cache_disk_hits);
-  AppendI64(out, s.cache_remote_hits);
+  engine::SynthesisCacheStats::ForEachField(
+      [&](const char*, auto member) { Append(out, s.cache.*member); });
   AppendI64(out, s.synth_states_visited);
   AppendI64(out, s.synth_states_deduped);
   AppendI64(out, s.synth_branches_pruned);
   AppendI64(out, s.guided_skipped);
-  AppendF64(out, s.synthesis_seconds_saved);
-  AppendF64(out, s.disk_seconds_saved);
   AppendF64(out, s.synthesis_seconds);
   AppendF64(out, s.evaluation_seconds);
   AppendF64(out, s.total_seconds);
@@ -233,18 +237,15 @@ void EncodePipelineStats(std::string* out, const engine::PipelineStats& s) {
 }
 
 bool DecodePipelineStats(Reader* r, engine::PipelineStats* s) {
-  return r->ReadI64(&s->num_placements) && r->ReadI64(&s->unique_hierarchies) &&
-         r->ReadI64(&s->cache_hits) && r->ReadI64(&s->cache_misses) &&
-         r->ReadI64(&s->cache_deferred_lookups) &&
-         r->ReadI64(&s->cache_cross_tenant_hits) &&
-         r->ReadI64(&s->cache_disk_hits) &&
-         r->ReadI64(&s->cache_remote_hits) &&
-         r->ReadI64(&s->synth_states_visited) &&
+  bool ok = r->ReadI64(&s->num_placements) &&
+            r->ReadI64(&s->unique_hierarchies);
+  engine::SynthesisCacheStats::ForEachField([&](const char*, auto member) {
+    ok = ok && r->Read(&(s->cache.*member));
+  });
+  return ok && r->ReadI64(&s->synth_states_visited) &&
          r->ReadI64(&s->synth_states_deduped) &&
          r->ReadI64(&s->synth_branches_pruned) &&
          r->ReadI64(&s->guided_skipped) &&
-         r->ReadF64(&s->synthesis_seconds_saved) &&
-         r->ReadF64(&s->disk_seconds_saved) &&
          r->ReadF64(&s->synthesis_seconds) &&
          r->ReadF64(&s->evaluation_seconds) && r->ReadF64(&s->total_seconds) &&
          r->ReadI32(&s->threads);

@@ -50,8 +50,9 @@ inline constexpr std::string_view kFrameMagic = "P2RF";
 /// Bumped whenever a payload layout changes, so an older peer fails fast
 /// with kBadVersion instead of misparsing: 2 added the cache-server frames
 /// and grew the PlanResponse stats payload by two counters; 3 dropped the
-/// in-flight-waits counter from that payload.
-inline constexpr std::uint32_t kWireVersion = 3;
+/// in-flight-waits counter from that payload; 4 carries the request's whole
+/// engine::SynthesisCacheStats record there (four more counters).
+inline constexpr std::uint32_t kWireVersion = 4;
 /// magic + version u32 + type u8 + payload_len u32 + checksum u64.
 inline constexpr std::size_t kFrameHeaderBytes = 21;
 /// Upper bound a decoder trusts from a length prefix; anything larger is

@@ -72,9 +72,9 @@ TEST(JsonExport, PipelineStatsCarryTheDashboardFields) {
   const std::vector<int> raxes = {0};
   const std::string json = ToJson(eng.RunExperiment(axes, raxes));
   for (const char* field :
-       {"\"unique_hierarchies\":", "\"cache_hits\":", "\"cache_misses\":",
-        "\"cache_cross_tenant_hits\":", "\"cache_disk_hits\":",
-        "\"guided_skipped\":", "\"synthesis_seconds_saved\":",
+       {"\"unique_hierarchies\":", "\"cache\":{\"hits\":", "\"misses\":",
+        "\"cross_tenant_hits\":", "\"disk_hits\":",
+        "\"guided_skipped\":", "\"seconds_saved\":",
         "\"synthesis_seconds\":", "\"evaluation_seconds\":",
         "\"total_seconds\":", "\"disk_seconds_saved\":"}) {
     EXPECT_NE(json.find(field), std::string::npos) << field;
@@ -118,7 +118,8 @@ TEST(JsonExport, ServiceStatsExportPerTenantSectionsAndTotals) {
       json.find("\"fingerprint\":\"" +
                 JsonEscape(topology::MakeV100Cluster(4).Fingerprint()) + "\""),
       std::string::npos);
-  EXPECT_NE(json.find("\"cache_cross_tenant_hits\":"), std::string::npos);
+  EXPECT_NE(json.find("\"cross_tenant_hits\":", json.find("\"tenants\":[")),
+            std::string::npos);
 
   // Cheap well-formedness: balanced braces/brackets outside strings.
   int braces = 0, brackets = 0;
@@ -186,12 +187,13 @@ TEST(JsonExport, NonFiniteNumbersBecomeNullNeverBareTokens) {
   stats.requests = 1;
   stats.cache.seconds_saved = std::numeric_limits<double>::quiet_NaN();
   TenantStats tenant;
-  tenant.synthesis_seconds_saved = std::numeric_limits<double>::infinity();
+  tenant.cache.seconds_saved = std::numeric_limits<double>::infinity();
   stats.tenants = {tenant};
 
   const std::string json = ToJson(stats);
   EXPECT_NE(json.find("\"seconds_saved\":null"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"synthesis_seconds_saved\":null"), std::string::npos)
+  EXPECT_NE(json.find("\"seconds_saved\":null", json.find("\"tenants\":[")),
+            std::string::npos)
       << json;
   for (const char* token : {":nan", ":inf", ":-inf", ":-nan"}) {
     EXPECT_EQ(json.find(token), std::string::npos) << token << " in " << json;

@@ -93,7 +93,7 @@ TEST(PipelinePersistence, WarmRunIsByteIdenticalWithZeroSynthesisSeconds) {
       cold.push_back(service.Plan(cfg.axes, cfg.reduction_axes));
     }
     for (const auto& result : cold) {
-      EXPECT_EQ(result.pipeline.cache_disk_hits, 0);
+      EXPECT_EQ(result.pipeline.cache.disk_hits, 0);
     }
     ASSERT_TRUE(service.SaveCache());
   }
@@ -114,12 +114,12 @@ TEST(PipelinePersistence, WarmRunIsByteIdenticalWithZeroSynthesisSeconds) {
     EXPECT_EQ(ToJson(WithoutTimings(warm[e])), ToJson(WithoutTimings(cold[e])))
         << "experiment " << e;
     // Every signature came off disk: no synthesis ran at all...
-    EXPECT_EQ(warm[e].pipeline.cache_misses, 0) << "experiment " << e;
-    EXPECT_EQ(warm[e].pipeline.cache_disk_hits,
-              warm[e].pipeline.cache_hits)
+    EXPECT_EQ(warm[e].pipeline.cache.misses, 0) << "experiment " << e;
+    EXPECT_EQ(warm[e].pipeline.cache.disk_hits,
+              warm[e].pipeline.cache.hits)
         << "experiment " << e;
-    EXPECT_GT(warm[e].pipeline.cache_disk_hits, 0) << "experiment " << e;
-    EXPECT_GE(warm[e].pipeline.disk_seconds_saved, 0.0);
+    EXPECT_GT(warm[e].pipeline.cache.disk_hits, 0) << "experiment " << e;
+    EXPECT_GE(warm[e].pipeline.cache.disk_seconds_saved, 0.0);
     // ...so every cached placement reports zero synthesis time.
     for (const auto& p : warm[e].placements) {
       EXPECT_EQ(p.synthesis_seconds, 0.0) << "experiment " << e;
@@ -174,7 +174,7 @@ TEST(PipelinePersistence, ReadonlyNeverCreatesOrModifiesTheFile) {
                            PersistentOptions(missing, /*readonly=*/true));
     EXPECT_EQ(service.cache_load_status(), CacheLoadStatus::kNoFile);
     const auto result = service.Plan(axes, reduce);
-    EXPECT_GT(result.pipeline.cache_misses, 0);
+    EXPECT_GT(result.pipeline.cache.misses, 0);
     EXPECT_TRUE(service.SaveCache());  // a successful no-op
   }
   EXPECT_FALSE(std::filesystem::exists(missing));
@@ -192,8 +192,8 @@ TEST(PipelinePersistence, ReadonlyNeverCreatesOrModifiesTheFile) {
     PlannerService reader(engine, PersistentOptions(path, /*readonly=*/true));
     EXPECT_EQ(reader.cache_load_status(), CacheLoadStatus::kOk);
     const auto result = reader.Plan(axes, reduce);
-    EXPECT_EQ(result.pipeline.cache_misses, 0);
-    EXPECT_GT(result.pipeline.cache_disk_hits, 0);
+    EXPECT_EQ(result.pipeline.cache.misses, 0);
+    EXPECT_GT(result.pipeline.cache.disk_hits, 0);
     // Even new synthesis results must not leak to disk under readonly.
     const std::vector<std::int64_t> other_axes = {4, 8};
     const std::vector<int> other_reduce = {1};
@@ -219,14 +219,14 @@ TEST(PipelinePersistence, CorruptFileRunsColdAndIsRepairedOnSave) {
     EXPECT_TRUE(IsCorrupt(service.cache_load_status()));
     EXPECT_FALSE(service.cache_load_message().empty());
     const auto result = service.Plan(axes, reduce);  // cold, not a crash
-    EXPECT_GT(result.pipeline.cache_misses, 0);
+    EXPECT_GT(result.pipeline.cache.misses, 0);
     ASSERT_TRUE(service.SaveCache());  // save-over-corrupt recovers
   }
   PlannerService service(engine, PersistentOptions(path));
   EXPECT_EQ(service.cache_load_status(), CacheLoadStatus::kOk);
   const auto result = service.Plan(axes, reduce);
-  EXPECT_EQ(result.pipeline.cache_misses, 0);
-  EXPECT_GT(result.pipeline.cache_disk_hits, 0);
+  EXPECT_EQ(result.pipeline.cache.misses, 0);
+  EXPECT_GT(result.pipeline.cache.disk_hits, 0);
   std::filesystem::remove(path);
 }
 
@@ -248,8 +248,8 @@ TEST(PipelinePersistence, CacheFileImpliesTheSignatureCache) {
   PlannerService service(engine, PersistentOptions(path));
   EXPECT_GT(service.cache_entries_loaded(), 0);  // the run was persisted
   const auto result = service.Plan(request);
-  EXPECT_EQ(result.pipeline.cache_misses, 0);
-  EXPECT_GT(result.pipeline.cache_disk_hits, 0);  // and the entries served
+  EXPECT_EQ(result.pipeline.cache.misses, 0);
+  EXPECT_GT(result.pipeline.cache.disk_hits, 0);  // and the entries served
   std::filesystem::remove(path);
 }
 
@@ -288,11 +288,11 @@ TEST(PipelinePersistence, SingleClusterFileWarmsAMultiTenantService) {
   on_v100.cluster = topology::MakeV100Cluster(4);
 
   const auto a100_result = service.Plan(std::move(on_a100));
-  EXPECT_EQ(a100_result.pipeline.cache_misses, 0);
-  EXPECT_GT(a100_result.pipeline.cache_disk_hits, 0);
+  EXPECT_EQ(a100_result.pipeline.cache.misses, 0);
+  EXPECT_GT(a100_result.pipeline.cache.disk_hits, 0);
 
   const auto v100_result = service.Plan(std::move(on_v100));
-  EXPECT_GT(v100_result.pipeline.cache_disk_hits, 0)
+  EXPECT_GT(v100_result.pipeline.cache.disk_hits, 0)
       << "the V100 tenant must reuse hierarchies the A100 run persisted";
   // Disk-warmed results still match a cold dedicated service bit for bit.
   const Engine v100_engine(topology::MakeV100Cluster(4), FastOptions());
@@ -365,8 +365,8 @@ TEST(PipelinePersistence, TtlExpiresStaleEntriesAndSparesStamplessOnes) {
     EXPECT_EQ(service.cache_entries_loaded(), 0);
     EXPECT_GT(service.stats().cache_entries_expired, 0);
     const auto result = service.Plan(axes, reduce);
-    EXPECT_GT(result.pipeline.cache_misses, 0);
-    EXPECT_EQ(result.pipeline.cache_disk_hits, 0);
+    EXPECT_GT(result.pipeline.cache.misses, 0);
+    EXPECT_EQ(result.pipeline.cache.disk_hits, 0);
     EXPECT_NE(RenderServiceStats(service.stats()).find("expired"),
               std::string::npos);
   }
@@ -388,8 +388,8 @@ TEST(PipelinePersistence, TtlExpiresStaleEntriesAndSparesStamplessOnes) {
     EXPECT_GT(service.cache_entries_loaded(), 0);
     EXPECT_EQ(service.stats().cache_entries_expired, 0);
     const auto result = service.Plan(axes, reduce);
-    EXPECT_EQ(result.pipeline.cache_misses, 0);
-    EXPECT_GT(result.pipeline.cache_disk_hits, 0);
+    EXPECT_EQ(result.pipeline.cache.misses, 0);
+    EXPECT_GT(result.pipeline.cache.disk_hits, 0);
   }
   std::filesystem::remove(fresh_path);
   std::filesystem::remove(stale_path);
@@ -419,10 +419,11 @@ TEST(PipelinePersistence, SecondsSavedAccumulateAcrossRuns) {
   // synthesis cost: each placement's hit re-credits its persisted seconds.
   // NEAR, not DOUBLE_EQ, out of caution: both sides sum the same doubles,
   // but via differently-ordered accumulations they could reassociate.
-  EXPECT_NEAR(result.pipeline.disk_seconds_saved, cold_counterfactual, 1e-9);
+  EXPECT_NEAR(result.pipeline.cache.disk_seconds_saved, cold_counterfactual,
+              1e-9);
   // These two accumulate in the same statements, so they are bitwise equal.
-  EXPECT_DOUBLE_EQ(result.pipeline.synthesis_seconds_saved,
-                   result.pipeline.disk_seconds_saved);
+  EXPECT_DOUBLE_EQ(result.pipeline.cache.seconds_saved,
+                   result.pipeline.cache.disk_seconds_saved);
   std::filesystem::remove(path);
 }
 

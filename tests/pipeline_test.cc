@@ -73,9 +73,9 @@ TEST(Pipeline, DedupsIsomorphicHierarchies) {
   ASSERT_EQ(result.placements.size(), 3u);
   EXPECT_EQ(result.pipeline.num_placements, 3);
   EXPECT_EQ(result.pipeline.unique_hierarchies, 2);
-  EXPECT_EQ(result.pipeline.cache_misses, 2);
-  EXPECT_EQ(result.pipeline.cache_hits, 1);
-  EXPECT_GE(result.pipeline.synthesis_seconds_saved, 0.0);
+  EXPECT_EQ(result.pipeline.cache.misses, 2);
+  EXPECT_EQ(result.pipeline.cache.hits, 1);
+  EXPECT_GE(result.pipeline.cache.seconds_saved, 0.0);
   EXPECT_EQ(result.pipeline.threads, 2);
   // The deduped placements carry the full program set nevertheless.
   for (const auto& p : result.placements) {
@@ -88,10 +88,10 @@ TEST(Pipeline, CachePersistsAcrossRequestsOfOneService) {
   const Engine eng(topology::MakeA100Cluster(2), FastOptions());
   PlannerService service(eng, PlannerServiceOptions{.threads = 1});
   const auto first = service.Plan(kAxes, kReduce);
-  EXPECT_EQ(first.pipeline.cache_misses, 2);
+  EXPECT_EQ(first.pipeline.cache.misses, 2);
   const auto second = service.Plan(kAxes, kReduce);
-  EXPECT_EQ(second.pipeline.cache_misses, 0);  // everything served from cache
-  EXPECT_EQ(second.pipeline.cache_hits, 3);
+  EXPECT_EQ(second.pipeline.cache.misses, 0);  // everything served from cache
+  EXPECT_EQ(second.pipeline.cache.hits, 3);
   EXPECT_EQ(ToJson(WithoutTimings(first)), ToJson(WithoutTimings(second)));
   // The service-wide totals aggregate both requests.
   const auto stats = service.stats();
@@ -116,7 +116,7 @@ TEST(Pipeline, ExperimentResultCarriesPipelineStatsInJson) {
   const std::string json = ToJson(result);
   EXPECT_NE(json.find("\"pipeline\":{"), std::string::npos);
   EXPECT_NE(json.find("\"unique_hierarchies\":2"), std::string::npos);
-  EXPECT_NE(json.find("\"cache_hits\":1"), std::string::npos);
+  EXPECT_NE(json.find("\"cache\":{\"hits\":1,"), std::string::npos);
 }
 
 TEST(PlacementEvaluation, BestMeasuredIndexFallsBackWhenNothingMeasured) {

@@ -3,7 +3,7 @@
 // it, and yet every query's output is byte-identical to a serial run — at
 // any service thread count and under any submission order. Two queries
 // racing on one uncached signature synthesize it exactly once (in-flight
-// dedup), asserted via cache_misses.
+// dedup), asserted via the cache misses.
 #include "engine/service.h"
 
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -113,8 +114,8 @@ TEST(PlannerService, RacingQueriesSynthesizeEachSignatureExactlyOnce) {
     for (auto& future : futures) {
       const auto result = future.get();
       EXPECT_EQ(result.pipeline.unique_hierarchies, 2);
-      per_request_misses += result.pipeline.cache_misses;
-      per_request_hits += result.pipeline.cache_hits;
+      per_request_misses += result.pipeline.cache.misses;
+      per_request_hits += result.pipeline.cache.hits;
     }
     const auto stats = service.stats();
     // Synthesis ran exactly once per unique signature across the race.
@@ -456,24 +457,74 @@ TEST(MultiTenantService, SharedCacheDedupsAcrossTenants) {
 
   const auto a = service.Plan(std::move(first));
   const auto b = service.Plan(std::move(second));
-  EXPECT_EQ(a.pipeline.cache_cross_tenant_hits, 0);
-  EXPECT_GT(b.pipeline.cache_cross_tenant_hits, 0);
-  EXPECT_LT(b.pipeline.cache_misses, a.pipeline.cache_misses)
+  EXPECT_EQ(a.pipeline.cache.cross_tenant_hits, 0);
+  EXPECT_GT(b.pipeline.cache.cross_tenant_hits, 0);
+  EXPECT_LT(b.pipeline.cache.misses, a.pipeline.cache.misses)
       << "the second tenant must reuse the first tenant's synthesis";
 
   const auto stats = service.stats();
-  EXPECT_EQ(stats.cache.cross_tenant_hits, b.pipeline.cache_cross_tenant_hits);
+  EXPECT_EQ(stats.cache.cross_tenant_hits, b.pipeline.cache.cross_tenant_hits);
   ASSERT_EQ(stats.tenants.size(), 2u);
-  EXPECT_EQ(stats.tenants[0].cache_cross_tenant_hits, 0);
-  EXPECT_EQ(stats.tenants[1].cache_cross_tenant_hits,
-            b.pipeline.cache_cross_tenant_hits);
+  EXPECT_EQ(stats.tenants[0].cache.cross_tenant_hits, 0);
+  EXPECT_EQ(stats.tenants[1].cache.cross_tenant_hits,
+            b.pipeline.cache.cross_tenant_hits);
   EXPECT_EQ(stats.tenants[0].requests, 1);
   EXPECT_EQ(stats.tenants[1].requests, 1);
   // Sums across tenants match the service-wide cache totals.
-  EXPECT_EQ(stats.tenants[0].cache_hits + stats.tenants[1].cache_hits,
+  EXPECT_EQ(stats.tenants[0].cache.hits + stats.tenants[1].cache.hits,
             stats.cache.hits);
-  EXPECT_EQ(stats.tenants[0].cache_misses + stats.tenants[1].cache_misses,
+  EXPECT_EQ(stats.tenants[0].cache.misses + stats.tenants[1].cache.misses,
             stats.cache.misses);
+}
+
+// Every cache event is counted on exactly one request: the lookup that
+// caused it, or the owner whose publish forced the eviction or fired the
+// continuation. So once every request has completed, the per-request
+// records, the tenant rows and the service totals agree on every integer
+// counter. Three clusters in randomized submission order, with a cap small
+// enough to evict and stalled owners so requests defer behind each other.
+TEST(MultiTenantService, CacheCountersAgreeAtEveryScope) {
+  const auto configs = TenantConfigs();
+  FaultScope stall([](std::string_view point) {
+    if (point == "synth.layer") {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  std::vector<std::size_t> order;
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    order.push_back(i);
+    order.push_back(i);
+  }
+  std::mt19937 rng(20261017);
+  for (int round = 0; round < 3; ++round) {
+    std::shuffle(order.begin(), order.end(), rng);
+    PlannerServiceOptions options;
+    options.threads = 4;
+    options.engine = FastOptions();
+    options.cache_max_entries = 2;
+    PlannerService service(options);
+    std::vector<PlanHandle> handles;
+    for (const std::size_t index : order) {
+      handles.push_back(service.Submit(RequestFor(configs[index])));
+    }
+    SynthesisCacheStats per_request;
+    for (auto& handle : handles) per_request += handle.get().pipeline.cache;
+
+    const auto stats = service.stats();
+    ASSERT_EQ(stats.tenants.size(), 3u);
+    SynthesisCacheStats per_tenant;
+    for (const TenantStats& tenant : stats.tenants) per_tenant += tenant.cache;
+    EXPECT_GT(stats.cache.evictions, 0) << "round " << round;
+    SynthesisCacheStats::ForEachField([&](const char* name, auto member) {
+      using Field = std::remove_cvref_t<decltype(stats.cache.*member)>;
+      if constexpr (std::is_integral_v<Field>) {
+        EXPECT_EQ(per_request.*member, stats.cache.*member)
+            << name << ", round " << round;
+        EXPECT_EQ(per_tenant.*member, stats.cache.*member)
+            << name << ", round " << round;
+      }
+    });
+  }
 }
 
 TEST(MultiTenantService, DefaultTenantAndExplicitClusterCoexist) {
@@ -546,9 +597,9 @@ TEST(PlannerService, StatsAggregateOncePerService) {
   const auto stats = service.stats();
   EXPECT_EQ(stats.requests, 2);
   EXPECT_EQ(stats.cache.misses,
-            first.pipeline.cache_misses + second.pipeline.cache_misses);
+            first.pipeline.cache.misses + second.pipeline.cache.misses);
   EXPECT_EQ(stats.cache.hits,
-            first.pipeline.cache_hits + second.pipeline.cache_hits);
+            first.pipeline.cache.hits + second.pipeline.cache.hits);
   EXPECT_EQ(stats.cache_entries_loaded, 0);  // no cache file configured
   EXPECT_EQ(stats.threads, 1);
 }

@@ -84,6 +84,67 @@ TEST(Report, RankThrowsOnEmpty) {
   EXPECT_THROW(MeasuredRankOfPredictedBest({}), std::invalid_argument);
 }
 
+// Regression: the pipeline renderer appended the remote hits after it had
+// already started the guided line, so they read as a guided figure.
+TEST(Report, RemoteHitsStayOnThePipelineLine) {
+  PipelineStats stats;
+  stats.num_placements = 4;
+  stats.unique_hierarchies = 2;
+  stats.cache.hits = 3;
+  stats.cache.misses = 1;
+  stats.cache.remote_hits = 2;
+  stats.guided_skipped = 5;
+  const std::string rendered = RenderPipelineStats(stats);
+  const std::string pipeline_line = rendered.substr(0, rendered.find('\n'));
+  EXPECT_NE(pipeline_line.find(", 2 remote hits"), std::string::npos)
+      << rendered;
+  EXPECT_NE(
+      rendered.find("\nguided: 5 measurements skipped by early stopping\n"),
+      std::string::npos)
+      << rendered;
+}
+
+// The pipeline:, service: and tenant lines phrase the cache counters with
+// one renderer, so one record reads the same at every scope.
+TEST(Report, OneCacheRenderingAtEveryScope) {
+  SynthesisCacheStats cache;
+  cache.hits = 9;
+  cache.misses = 2;
+  cache.disk_hits = 3;
+  cache.remote_hits = 4;
+  cache.remote_errors = 1;
+  cache.subsumed_hits = 5;
+  cache.deferred_lookups = 6;
+  cache.continuations_fired = 6;
+  cache.cross_tenant_hits = 7;
+  cache.evictions = 8;
+  const std::string segment =
+      "cache 9 hits / 2 misses (0.00 s re-synthesis avoided), 3 disk hits "
+      "(0.00 s saved across runs), 4 remote hits, 7 cross-tenant hits, 5 "
+      "served by subsumption, 6 deferred lookups, 6 continuations fired, 8 "
+      "evictions, 1 remote errors";
+
+  PipelineStats pipeline;
+  pipeline.cache = cache;
+  EXPECT_NE(RenderPipelineStats(pipeline).find("unique hierarchies, " +
+                                               segment + ", 1 thread"),
+            std::string::npos)
+      << RenderPipelineStats(pipeline);
+
+  PlannerServiceStats service;
+  service.cache = cache;
+  TenantStats tenant;
+  tenant.cache = cache;
+  service.tenants = {tenant, tenant};
+  const std::string rendered = RenderServiceStats(service);
+  std::size_t lines = 0;
+  for (auto at = rendered.find(segment); at != std::string::npos;
+       at = rendered.find(segment, at + 1)) {
+    ++lines;
+  }
+  EXPECT_EQ(lines, 3u) << rendered;  // the service line and both tenants
+}
+
 TEST(Report, ServiceStatsRenderRobustnessCountersOnlyWhenNonzero) {
   PlannerServiceStats stats;
   stats.requests = 3;

@@ -207,21 +207,22 @@ TEST(WireFrame, CorruptionsMapToTheirStatuses) {
   EXPECT_EQ(DecodeFrame(good, &out, &consumed), FrameDecodeStatus::kOk);
 }
 
-// Version 3 dropped a counter from the PlanResponse stats payload, so a
-// version-2 peer's frames must be refused rather than misparsed.
+// Version 4 carries the whole cache-counter record in the PlanResponse
+// stats payload, so a version-3 peer's frames must be refused rather than
+// misparsed.
 TEST(WireFrame, PreviousVersionIsRefused) {
-  ASSERT_EQ(kWireVersion, 3u);
+  ASSERT_EQ(kWireVersion, 4u);
   Frame frame;
   frame.type = FrameType::kPlanResponse;
   frame.payload = "stats payload";
-  std::string v2 = EncodeFrame(frame);
-  const std::uint32_t old_version = 2;
+  std::string v3 = EncodeFrame(frame);
+  const std::uint32_t old_version = 3;
   for (int i = 0; i < 4; ++i) {  // version u32 at offset 4, LE
-    v2[4 + i] = static_cast<char>((old_version >> (8 * i)) & 0xFF);
+    v3[4 + i] = static_cast<char>((old_version >> (8 * i)) & 0xFF);
   }
   Frame out;
   std::size_t consumed = 0;
-  EXPECT_EQ(DecodeFrame(v2, &out, &consumed), FrameDecodeStatus::kBadVersion);
+  EXPECT_EQ(DecodeFrame(v3, &out, &consumed), FrameDecodeStatus::kBadVersion);
 }
 
 // ---- payload codecs -------------------------------------------------------
@@ -309,7 +310,7 @@ TEST(WirePayload, PlanResponseAndStatusPayloadsRoundTrip) {
   response.status = WireStatus::kOk;
   response.body = "placement 0\nplacement 1\n";
   response.stats.num_placements = 12;
-  response.stats.cache_hits = 7;
+  response.stats.cache.hits = 7;
   response.stats.synthesis_seconds = 0.25;
   response.stats.threads = 4;
 
@@ -321,7 +322,7 @@ TEST(WirePayload, PlanResponseAndStatusPayloadsRoundTrip) {
   EXPECT_EQ(decoded.status, WireStatus::kOk);
   EXPECT_EQ(decoded.body, response.body);
   EXPECT_EQ(decoded.stats.num_placements, 12);
-  EXPECT_EQ(decoded.stats.cache_hits, 7);
+  EXPECT_EQ(decoded.stats.cache.hits, 7);
   EXPECT_DOUBLE_EQ(decoded.stats.synthesis_seconds, 0.25);
   EXPECT_EQ(decoded.stats.threads, 4);
 
@@ -335,6 +336,49 @@ TEST(WirePayload, PlanResponseAndStatusPayloadsRoundTrip) {
 }
 
 // ---- abort taxonomy -> wire status ----------------------------------------
+
+// Every field of the cache record gets a distinct value through the field
+// visitor, so a codec that dropped, duplicated or reordered one would fail.
+PlanWireResponse ResponseWithEveryCacheCounterSet() {
+  PlanWireResponse response;
+  response.body = "body";
+  response.stats.num_placements = 3;
+  std::int64_t next = 101;
+  engine::SynthesisCacheStats::ForEachField(
+      [&](const char*, auto member) { response.stats.cache.*member = next++; });
+  response.stats.threads = 2;
+  return response;
+}
+
+TEST(WirePayload, PlanResponseCarriesEveryCacheCounter) {
+  const PlanWireResponse response = ResponseWithEveryCacheCounterSet();
+  PlanWireResponse decoded;
+  std::string error;
+  ASSERT_TRUE(
+      DecodePlanResponse(EncodePlanResponse(response), &decoded, &error))
+      << error;
+  engine::SynthesisCacheStats::ForEachField([&](const char* name,
+                                                auto member) {
+    EXPECT_EQ(decoded.stats.cache.*member, response.stats.cache.*member)
+        << name;
+  });
+  EXPECT_EQ(decoded.stats.num_placements, 3);
+  EXPECT_EQ(decoded.stats.threads, 2);
+}
+
+TEST(WirePayload, PlanResponseRejectsEveryTruncationAndTrailingBytes) {
+  const std::string payload =
+      EncodePlanResponse(ResponseWithEveryCacheCounterSet());
+  PlanWireResponse decoded;
+  std::string error;
+  for (std::size_t len = 0; len < payload.size(); ++len) {
+    EXPECT_FALSE(DecodePlanResponse(std::string_view(payload).substr(0, len),
+                                    &decoded, &error))
+        << "prefix of " << len << " of " << payload.size() << " bytes";
+  }
+  EXPECT_FALSE(DecodePlanResponse(payload + "x", &decoded, &error));
+  EXPECT_TRUE(DecodePlanResponse(payload, &decoded, &error)) << error;
+}
 
 TEST(WireStatusMapping, AbortTaxonomyMapsOneToOne) {
   const auto status_for = [](std::exception_ptr error) {

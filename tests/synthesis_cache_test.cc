@@ -133,10 +133,10 @@ TEST(SynthesisCache, LargerCapEntriesServeSmallerCapQueries) {
 
   core::SynthesisOptions capped = unbounded;
   capped.max_programs = 2;
-  CacheLookupOutcome outcome;
-  const auto served = cache.GetOrSynthesize(IsomorphicA(), capped, &outcome);
-  EXPECT_TRUE(outcome.hit);
-  EXPECT_TRUE(outcome.subsumed);
+  SynthesisCacheStats counted;
+  const auto served = cache.GetOrSynthesize(IsomorphicA(), capped, &counted);
+  EXPECT_EQ(counted.hits, 1);
+  EXPECT_EQ(counted.subsumed_hits, 1);
   EXPECT_EQ(cache.stats().misses, 1);
   EXPECT_EQ(cache.stats().hits, 1);
   EXPECT_EQ(cache.stats().subsumed_hits, 1);
@@ -161,10 +161,10 @@ TEST(SynthesisCache, CompleteEntriesServeAnyCap) {
 
   core::SynthesisOptions big_cap = small_cap;
   big_cap.max_programs = 1 << 20;
-  CacheLookupOutcome outcome;
-  const auto served = cache.GetOrSynthesize(IsomorphicA(), big_cap, &outcome);
-  EXPECT_TRUE(outcome.hit);
-  EXPECT_FALSE(outcome.subsumed);  // nothing was truncated
+  SynthesisCacheStats counted;
+  const auto served = cache.GetOrSynthesize(IsomorphicA(), big_cap, &counted);
+  EXPECT_EQ(counted.hits, 1);
+  EXPECT_EQ(counted.subsumed_hits, 0);  // nothing was truncated
   EXPECT_EQ(cache.stats().misses, 1);
   EXPECT_EQ(served.get(), first.get());
 }
@@ -180,17 +180,18 @@ TEST(SynthesisCache, TruncatedEntriesAreUpgradedByLargerCapQueries) {
   // and the richer result replaces the entry...
   core::SynthesisOptions bigger = tiny;
   bigger.max_programs = 1 << 20;
-  CacheLookupOutcome outcome;
-  const auto full = cache.GetOrSynthesize(IsomorphicA(), bigger, &outcome);
-  EXPECT_FALSE(outcome.hit);
+  SynthesisCacheStats upgrade;
+  const auto full = cache.GetOrSynthesize(IsomorphicA(), bigger, &upgrade);
+  EXPECT_EQ(upgrade.hits, 0);
   EXPECT_EQ(cache.stats().misses, 2);
   EXPECT_GT(full->programs.size(), 1u);
   EXPECT_EQ(cache.size(), 1u);
 
   // ...after which the original tiny cap is served by subsumption.
-  const auto again = cache.GetOrSynthesize(IsomorphicA(), tiny, &outcome);
-  EXPECT_TRUE(outcome.hit);
-  EXPECT_TRUE(outcome.subsumed);
+  SynthesisCacheStats downgrade;
+  const auto again = cache.GetOrSynthesize(IsomorphicA(), tiny, &downgrade);
+  EXPECT_EQ(downgrade.hits, 1);
+  EXPECT_EQ(downgrade.subsumed_hits, 1);
   EXPECT_EQ(again->programs.size(), 1u);
   EXPECT_EQ(again->programs[0], truncated->programs[0]);
 }
@@ -207,11 +208,11 @@ TEST(SynthesisCache, SubsumptionWorksAcrossSnapshotPreloadRoundTrips) {
   EXPECT_EQ(warmed.Preload(cache.Snapshot()), 1);
   core::SynthesisOptions capped = unbounded;
   capped.max_programs = 2;
-  CacheLookupOutcome outcome;
-  const auto served = warmed.GetOrSynthesize(IsomorphicA(), capped, &outcome);
-  EXPECT_TRUE(outcome.hit);
-  EXPECT_TRUE(outcome.from_disk);
-  EXPECT_TRUE(outcome.subsumed);
+  SynthesisCacheStats counted;
+  const auto served = warmed.GetOrSynthesize(IsomorphicA(), capped, &counted);
+  EXPECT_EQ(counted.hits, 1);
+  EXPECT_EQ(counted.disk_hits, 1);
+  EXPECT_EQ(counted.subsumed_hits, 1);
   EXPECT_EQ(served->programs.size(), 2u);
   EXPECT_EQ(warmed.stats().disk_hits, 1);
   EXPECT_EQ(warmed.stats().misses, 0);
@@ -227,9 +228,9 @@ TEST(SynthesisCache, NonPositiveCapsAreServedAsEmptyPrefixes) {
   for (const std::int64_t cap : {std::int64_t{0}, std::int64_t{-1}}) {
     core::SynthesisOptions capped = unbounded;
     capped.max_programs = cap;
-    CacheLookupOutcome outcome;
-    const auto served = cache.GetOrSynthesize(IsomorphicA(), capped, &outcome);
-    EXPECT_TRUE(outcome.hit) << cap;
+    SynthesisCacheStats counted;
+    const auto served = cache.GetOrSynthesize(IsomorphicA(), capped, &counted);
+    EXPECT_EQ(counted.hits, 1) << cap;
     EXPECT_TRUE(served->programs.empty()) << cap;
     const auto fresh = core::SynthesizePrograms(IsomorphicA(), capped);
     EXPECT_TRUE(fresh.programs.empty()) << cap;
@@ -258,9 +259,9 @@ TEST(SynthesisCache, PreloadWithoutACapMarkerIsConservative) {
   core::SynthesisOptions beyond = options;
   beyond.max_programs =
       static_cast<std::int64_t>(num_programs) + 1;  // beyond what it holds
-  CacheLookupOutcome outcome;
-  warmed.GetOrSynthesize(IsomorphicA(), beyond, &outcome);
-  EXPECT_FALSE(outcome.hit);  // conservatively re-synthesized
+  SynthesisCacheStats counted;
+  warmed.GetOrSynthesize(IsomorphicA(), beyond, &counted);
+  EXPECT_EQ(counted.hits, 0);  // conservatively re-synthesized
   EXPECT_EQ(warmed.stats().misses, 1);
 }
 
@@ -277,9 +278,9 @@ TEST(SynthesisCache, LruCapEvictsLeastRecentlyUsed) {
   EXPECT_EQ(cache.stats().evictions, 1);
 
   // ...so revisiting it is a miss (re-synthesis), never a wrong result.
-  CacheLookupOutcome outcome;
-  const auto again = cache.GetOrSynthesize(IsomorphicA(), options, &outcome);
-  EXPECT_FALSE(outcome.hit);
+  SynthesisCacheStats counted;
+  const auto again = cache.GetOrSynthesize(IsomorphicA(), options, &counted);
+  EXPECT_EQ(counted.hits, 0);
   EXPECT_EQ(cache.stats().misses, 3);
   EXPECT_EQ(cache.stats().evictions, 2);
   const auto fresh = core::SynthesizePrograms(IsomorphicA(), options);
@@ -301,9 +302,9 @@ TEST(SynthesisCache, LruTouchOnHitProtectsHotEntries) {
   cache.GetOrSynthesize(IsomorphicA(), other);  // distinct base key
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.stats().evictions, 1);
-  CacheLookupOutcome outcome;
-  cache.GetOrSynthesize(IsomorphicA(), options, &outcome);
-  EXPECT_TRUE(outcome.hit) << "the hot entry must have survived";
+  SynthesisCacheStats counted;
+  cache.GetOrSynthesize(IsomorphicA(), options, &counted);
+  EXPECT_EQ(counted.hits, 1) << "the hot entry must have survived";
 }
 
 TEST(SynthesisCache, UnboundedByDefault) {
@@ -348,15 +349,16 @@ TEST(SynthesisCache, TenantsWithACommonSubHierarchyShareOneEntry) {
 
   SynthesisCache cache;
   const core::SynthesisOptions options;
-  CacheLookupOutcome outcome;
-  cache.GetOrSynthesize(sh_a100, options, &outcome, /*tenant=*/0);
-  EXPECT_FALSE(outcome.hit);
-  EXPECT_FALSE(outcome.cross_tenant);
+  SynthesisCacheStats first;
+  cache.GetOrSynthesize(sh_a100, options, &first, /*tenant=*/0);
+  EXPECT_EQ(first.hits, 0);
+  EXPECT_EQ(first.cross_tenant_hits, 0);
 
+  SynthesisCacheStats second;
   const auto served =
-      cache.GetOrSynthesize(sh_v100, options, &outcome, /*tenant=*/1);
-  EXPECT_TRUE(outcome.hit);
-  EXPECT_TRUE(outcome.cross_tenant);
+      cache.GetOrSynthesize(sh_v100, options, &second, /*tenant=*/1);
+  EXPECT_EQ(second.hits, 1);
+  EXPECT_EQ(second.cross_tenant_hits, 1);
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.stats().cross_tenant_hits, 1);
   // The shared entry is exactly what the second tenant would have
@@ -368,13 +370,15 @@ TEST(SynthesisCache, TenantsWithACommonSubHierarchyShareOneEntry) {
   }
 
   // Same tenant re-reading its own entry is NOT cross-tenant...
-  cache.GetOrSynthesize(sh_a100, options, &outcome, /*tenant=*/0);
-  EXPECT_TRUE(outcome.hit);
-  EXPECT_FALSE(outcome.cross_tenant);
+  SynthesisCacheStats own;
+  cache.GetOrSynthesize(sh_a100, options, &own, /*tenant=*/0);
+  EXPECT_EQ(own.hits, 1);
+  EXPECT_EQ(own.cross_tenant_hits, 0);
   // ...and untagged lookups never are.
-  cache.GetOrSynthesize(sh_a100, options, &outcome);
-  EXPECT_TRUE(outcome.hit);
-  EXPECT_FALSE(outcome.cross_tenant);
+  SynthesisCacheStats untagged;
+  cache.GetOrSynthesize(sh_a100, options, &untagged);
+  EXPECT_EQ(untagged.hits, 1);
+  EXPECT_EQ(untagged.cross_tenant_hits, 0);
   EXPECT_EQ(cache.stats().cross_tenant_hits, 1);
 }
 
@@ -385,13 +389,13 @@ TEST(SynthesisCache, DiskPreloadedEntriesAreNeverCrossTenant) {
 
   SynthesisCache warmed;
   warmed.Preload(donor.Snapshot());
-  CacheLookupOutcome outcome;
-  warmed.GetOrSynthesize(IsomorphicA(), options, &outcome, /*tenant=*/3);
-  EXPECT_TRUE(outcome.hit);
-  EXPECT_TRUE(outcome.from_disk);
+  SynthesisCacheStats counted;
+  warmed.GetOrSynthesize(IsomorphicA(), options, &counted, /*tenant=*/3);
+  EXPECT_EQ(counted.hits, 1);
+  EXPECT_EQ(counted.disk_hits, 1);
   // Disk entries belong to no tenant: the cross-run reuse is the disk_hits
   // figure, not cross-tenant sharing.
-  EXPECT_FALSE(outcome.cross_tenant);
+  EXPECT_EQ(counted.cross_tenant_hits, 0);
 }
 
 // Regression: the in-flight dedup must never strand waiters behind a
@@ -482,9 +486,9 @@ TEST(SynthesisCache, CancelledWaiterUnwindsWithoutDisturbingTheFlight) {
   // The owner finished normally and its entry serves later queries.
   EXPECT_EQ(cache.stats().misses, 1);
   EXPECT_EQ(cache.size(), 1u);
-  CacheLookupOutcome outcome;
-  cache.GetOrSynthesize(IsomorphicB(), plain, &outcome);
-  EXPECT_TRUE(outcome.hit);
+  SynthesisCacheStats counted;
+  cache.GetOrSynthesize(IsomorphicB(), plain, &counted);
+  EXPECT_EQ(counted.hits, 1);
 }
 
 // ISSUE 8 regression: the cancellable wait used to be a 5 ms poll loop, so
@@ -587,12 +591,12 @@ TEST(SynthesisCache, TryLookupServesClaimsAndDefers) {
 
   // The deferred caller retries: a plain hit now (and the retry releases
   // the eviction reservation its handle held).
-  CacheLookupOutcome outcome;
+  SynthesisCacheStats counted;
   const auto retried = cache.TryLookup(IsomorphicB(), options, [] {},
-                                       &deferred, &outcome);
+                                       &deferred, &counted);
   ASSERT_EQ(retried.state, SynthesisCache::TryLookupState::kReady);
   EXPECT_FALSE(deferred.active());
-  EXPECT_TRUE(outcome.hit);
+  EXPECT_EQ(counted.hits, 1);
   EXPECT_EQ(retried.result.get(), result.get());
   EXPECT_EQ(cache.stats().hits, 1);
 }
@@ -627,9 +631,9 @@ TEST(SynthesisCache, OwnerDeathFiresContinuationsAndHandsOffOwnership) {
   EXPECT_EQ(cache.stats().misses, 1);  // the dead owner's claim counted none
   EXPECT_EQ(cache.size(), 1u);
 
-  CacheLookupOutcome outcome;
-  cache.GetOrSynthesize(IsomorphicA(), options, &outcome);
-  EXPECT_TRUE(outcome.hit);
+  SynthesisCacheStats counted;
+  cache.GetOrSynthesize(IsomorphicA(), options, &counted);
+  EXPECT_EQ(counted.hits, 1);
 }
 
 // A deferred waiter holds an eviction reservation, and
@@ -700,10 +704,13 @@ TEST(SynthesisCache, BlockedAdapterCallDefersOnce) {
   while (!owner_inside.load()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  CacheLookupOutcome outcome;
-  cache.GetOrSynthesize(IsomorphicB(), plain, &outcome);
+  SynthesisCacheStats counted;
+  cache.GetOrSynthesize(IsomorphicB(), plain, &counted);
   owner.join();
-  EXPECT_TRUE(outcome.hit);
+  // The call's record accumulates across its retry: the deferral and the
+  // hit that settled it.
+  EXPECT_EQ(counted.deferred_lookups, 1);
+  EXPECT_EQ(counted.hits, 1);
   EXPECT_EQ(cache.stats().deferred_lookups, 1);
   EXPECT_EQ(cache.stats().continuations_fired, 1);
   EXPECT_EQ(cache.stats().misses, 1);
