@@ -4,132 +4,18 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <chrono>
 #include <cstddef>
 #include <exception>
 #include <filesystem>
 #include <fstream>
 
+#include "common/byte_codec.h"
 #include "common/fault_injection.h"
 
 namespace p2::engine {
 
 namespace {
-
-// FNV-1a 64-bit: tiny, dependency-free, and any single flipped byte changes
-// the digest — all this file needs is corruption *detection*, not security.
-std::uint64_t Fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-// --- little-endian primitives ---------------------------------------------
-
-void AppendU8(std::string* out, std::uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-
-void AppendU32(std::string* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void AppendU64(std::string* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void AppendI32(std::string* out, std::int32_t v) {
-  AppendU32(out, static_cast<std::uint32_t>(v));
-}
-
-void AppendI64(std::string* out, std::int64_t v) {
-  AppendU64(out, static_cast<std::uint64_t>(v));
-}
-
-void AppendF64(std::string* out, double v) {
-  AppendU64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-// Bounds-checked sequential reader over a payload. Every Read* returns false
-// on exhaustion instead of reading past the end, so a truncated or lying
-// length field can never walk off the buffer.
-class Reader {
- public:
-  explicit Reader(std::string_view bytes) : bytes_(bytes) {}
-
-  std::size_t remaining() const { return bytes_.size() - pos_; }
-  bool AtEnd() const { return pos_ == bytes_.size(); }
-
-  bool ReadU8(std::uint8_t* v) {
-    if (remaining() < 1) return false;
-    *v = static_cast<std::uint8_t>(bytes_[pos_++]);
-    return true;
-  }
-
-  bool ReadU32(std::uint32_t* v) {
-    if (remaining() < 4) return false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<std::uint32_t>(
-                static_cast<unsigned char>(bytes_[pos_ + static_cast<std::size_t>(i)]))
-            << (8 * i);
-    }
-    pos_ += 4;
-    return true;
-  }
-
-  bool ReadU64(std::uint64_t* v) {
-    if (remaining() < 8) return false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<std::uint64_t>(
-                static_cast<unsigned char>(bytes_[pos_ + static_cast<std::size_t>(i)]))
-            << (8 * i);
-    }
-    pos_ += 8;
-    return true;
-  }
-
-  bool ReadI32(std::int32_t* v) {
-    std::uint32_t u = 0;
-    if (!ReadU32(&u)) return false;
-    *v = static_cast<std::int32_t>(u);
-    return true;
-  }
-
-  bool ReadI64(std::int64_t* v) {
-    std::uint64_t u = 0;
-    if (!ReadU64(&u)) return false;
-    *v = static_cast<std::int64_t>(u);
-    return true;
-  }
-
-  bool ReadF64(double* v) {
-    std::uint64_t u = 0;
-    if (!ReadU64(&u)) return false;
-    *v = std::bit_cast<double>(u);
-    return true;
-  }
-
-  bool ReadBytes(std::size_t n, std::string_view* v) {
-    if (remaining() < n) return false;
-    *v = bytes_.substr(pos_, n);
-    pos_ += n;
-    return true;
-  }
-
- private:
-  std::string_view bytes_;
-  std::size_t pos_ = 0;
-};
 
 // The entry key always starts with the hierarchy signature
 // ("levels:a,b,c;goal:..."), so the depth the entry's programs were
@@ -154,7 +40,8 @@ bool ParseLevelCount(std::string_view key, int* num_levels) {
   return true;
 }
 
-bool DecodeInstruction(Reader* r, int num_levels, core::Instruction* instr) {
+bool DecodeInstruction(ByteReader* r, int num_levels,
+                       core::Instruction* instr) {
   std::int32_t slice = 0;
   std::uint8_t form_kind = 0;
   std::int32_t ancestor = 0;
@@ -243,8 +130,7 @@ std::uint64_t CacheStore::NowUnixSeconds() const {
 
 std::string CacheStore::EncodeEntry(const CacheFileEntry& entry) {
   std::string out;
-  AppendU32(&out, static_cast<std::uint32_t>(entry.key.size()));
-  out += entry.key;
+  AppendString(&out, entry.key);
   const core::SynthesisStats& s = entry.result.stats;
   AppendI64(&out, s.instructions_tried);
   AppendI64(&out, s.applications_succeeded);
@@ -265,14 +151,12 @@ std::string CacheStore::EncodeEntry(const CacheFileEntry& entry) {
 }
 
 bool CacheStore::DecodeEntry(std::string_view payload, CacheFileEntry* entry) {
-  Reader r(payload);
-  std::uint32_t key_len = 0;
-  if (!r.ReadU32(&key_len) || key_len > r.remaining()) return false;
-  std::string_view key;
-  if (!r.ReadBytes(key_len, &key)) return false;
-  entry->key.assign(key);
+  ByteReader r(payload);
   int num_levels = 0;
-  if (!ParseLevelCount(key, &num_levels)) return false;
+  if (!r.ReadString(&entry->key) ||
+      !ParseLevelCount(entry->key, &num_levels)) {
+    return false;
+  }
 
   core::SynthesisStats& s = entry->result.stats;
   s = core::SynthesisStats{};
@@ -347,7 +231,7 @@ CacheFileContents CacheStore::DecodeFile(std::string_view bytes) {
                 "file shorter than the header (" +
                     std::to_string(bytes.size()) + " bytes)");
   }
-  Reader r(bytes.substr(sizeof(kMagic)));
+  ByteReader r(bytes.substr(sizeof(kMagic)));
   std::uint32_t version = 0;
   std::uint64_t count = 0;
   r.ReadU32(&version);

@@ -4,7 +4,9 @@
 // users" pattern of the ROADMAP — skip synthesis entirely for hierarchies any
 // previous process has seen.
 //
-// File format (all integers little-endian, doubles as IEEE-754 bit patterns):
+// File format (all integers little-endian, doubles as IEEE-754 bit patterns),
+// written and read with common/byte_codec.h, the codec the P2RF wire
+// (server/wire_protocol.h) shares:
 //
 //   header:  magic "P2SC" (4 bytes) | format version u32 | entry count u64
 //   entry:   payload length u32 | FNV-1a-64 checksum of the payload u64

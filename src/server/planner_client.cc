@@ -10,12 +10,6 @@
 
 namespace p2::server {
 
-namespace {
-
-constexpr std::size_t kRecvChunk = 64 * 1024;
-
-}  // namespace
-
 PlannerClient::PlannerClient(int port) {
   fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd_ < 0) {
@@ -39,36 +33,15 @@ PlannerClient::~PlannerClient() {
 }
 
 bool PlannerClient::SendRaw(std::string_view bytes) {
-  std::size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t n =
-        ::send(fd_, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
+  return SendAll(fd_, bytes);
 }
 
 bool PlannerClient::ReceiveFrame(Frame* frame) {
-  std::string chunk(kRecvChunk, '\0');
-  for (;;) {
-    std::size_t consumed = 0;
-    const FrameDecodeStatus status = DecodeFrame(buffer_, frame, &consumed);
-    if (status == FrameDecodeStatus::kOk) {
-      buffer_.erase(0, consumed);
-      return true;
-    }
-    if (status != FrameDecodeStatus::kNeedMore) return false;
-    const ssize_t n = ::recv(fd_, chunk.data(), chunk.size(), 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    buffer_.append(chunk.data(), static_cast<std::size_t>(n));
-  }
+  return server::ReceiveFrame(fd_, &buffer_, frame) == FrameDecodeStatus::kOk;
+}
+
+bool PlannerClient::RoundTrip(const Frame& request, Frame* reply) {
+  return SendRaw(EncodeFrame(request)) && ReceiveFrame(reply);
 }
 
 PlanWireResponse PlannerClient::Plan(const PlanWireRequest& request) {
@@ -79,12 +52,11 @@ PlanWireResponse PlannerClient::Plan(const PlanWireRequest& request) {
     response.message = what;
     return response;
   };
-  Frame frame;
-  frame.type = FrameType::kPlanRequest;
-  frame.payload = EncodePlanRequest(request);
-  if (!SendRaw(EncodeFrame(frame))) return transport_error("send failed");
   Frame reply;
-  if (!ReceiveFrame(&reply)) return transport_error("connection closed");
+  if (!RoundTrip(Frame{FrameType::kPlanRequest, EncodePlanRequest(request)},
+                 &reply)) {
+    return transport_error("connection lost");
+  }
   if (reply.type == FrameType::kError) {
     WireStatus status = WireStatus::kInternal;
     std::string message;
@@ -107,14 +79,9 @@ PlanWireResponse PlannerClient::Plan(const PlanWireRequest& request) {
 
 PlannerClient::StatsResult PlannerClient::Stats() {
   StatsResult result;
-  Frame frame;
-  frame.type = FrameType::kStatsRequest;
-  if (!SendRaw(EncodeFrame(frame))) {
-    result.json = "send failed";
-    return result;
-  }
   Frame reply;
-  if (!ReceiveFrame(&reply) || reply.type != FrameType::kStatsResponse) {
+  if (!RoundTrip(Frame{FrameType::kStatsRequest, {}}, &reply) ||
+      reply.type != FrameType::kStatsResponse) {
     result.json = "no stats response";
     return result;
   }
@@ -126,11 +93,8 @@ PlannerClient::StatsResult PlannerClient::Stats() {
 }
 
 bool PlannerClient::Shutdown() {
-  Frame frame;
-  frame.type = FrameType::kShutdownRequest;
-  if (!SendRaw(EncodeFrame(frame))) return false;
   Frame reply;
-  return ReceiveFrame(&reply) &&
+  return RoundTrip(Frame{FrameType::kShutdownRequest, {}}, &reply) &&
          reply.type == FrameType::kShutdownResponse;
 }
 

@@ -2,7 +2,9 @@
 // one TCP connection, requests served strictly in order. Concurrency is
 // modeled as one client per thread — connections are cheap and the server
 // is thread-per-connection, so this keeps the client free of any
-// multiplexing state. Used by tools/p2_client and tests/server_test.cc.
+// multiplexing state. Used by tools/p2_client, tests/server_test.cc, and
+// RemoteCacheClient (server/remote_cache_client.h), which speaks the
+// cache-plane frames through RoundTrip.
 #ifndef P2_SERVER_PLANNER_CLIENT_H_
 #define P2_SERVER_PLANNER_CLIENT_H_
 
@@ -39,6 +41,11 @@ class PlannerClient {
   /// server sends only after its service drained, so a true return means
   /// every in-flight request finished and the cache was persisted.
   bool Shutdown();
+
+  /// Sends `request` and blocks for the next well-formed frame; false on a
+  /// transport failure or a decode failure (the connection is unusable
+  /// either way).
+  bool RoundTrip(const Frame& request, Frame* reply);
 
   // --- low-level surface for protocol tests ---------------------------------
 

@@ -19,8 +19,6 @@ namespace p2::server {
 
 namespace {
 
-constexpr std::size_t kRecvChunk = 64 * 1024;
-
 [[noreturn]] void ThrowErrno(const char* what) {
   throw std::runtime_error(std::string(what) + ": " + std::strerror(errno));
 }
@@ -112,55 +110,30 @@ void PlannerServer::AcceptLoop() {
 }
 
 bool PlannerServer::SendFrame(int fd, const Frame& frame) {
-  const std::string bytes = EncodeFrame(frame);
-  std::size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
+  return SendAll(fd, EncodeFrame(frame));
 }
 
 void PlannerServer::ServeConnection(int fd) {
+  // Frames are served strictly in arrival order per connection; a client
+  // wanting concurrency opens more connections (tools/p2_client does).
   std::string buffer;
-  std::string chunk(kRecvChunk, '\0');
-  bool open = true;
-  while (open) {
-    const ssize_t n = ::recv(fd, chunk.data(), chunk.size(), 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
+  for (;;) {
+    Frame frame;
+    const FrameDecodeStatus status = ReceiveFrame(fd, &buffer, &frame);
+    if (status == FrameDecodeStatus::kNeedMore) {
       break;  // peer closed, or our shutdown woke the read
     }
-    buffer.append(chunk.data(), static_cast<std::size_t>(n));
-    // Frames are served strictly in arrival order per connection; a client
-    // wanting concurrency opens more connections (tools/p2_client does).
-    for (;;) {
-      Frame frame;
-      std::size_t consumed = 0;
-      const FrameDecodeStatus status = DecodeFrame(buffer, &frame, &consumed);
-      if (status == FrameDecodeStatus::kNeedMore) break;
-      if (status != FrameDecodeStatus::kOk) {
-        // Framing is lost: one Error frame with the reason, then close.
-        malformed_frames_.fetch_add(1, std::memory_order_relaxed);
-        Frame error;
-        error.type = FrameType::kError;
-        error.payload = EncodeStatusPayload(WireStatus::kInvalidArgument,
-                                            ToString(status));
-        SendFrame(fd, error);
-        open = false;
-        break;
-      }
-      buffer.erase(0, consumed);
-      if (!HandleFrame(fd, frame)) {
-        open = false;
-        break;
-      }
+    if (status != FrameDecodeStatus::kOk) {
+      // Framing is lost: one Error frame with the reason, then close.
+      malformed_frames_.fetch_add(1, std::memory_order_relaxed);
+      Frame error;
+      error.type = FrameType::kError;
+      error.payload =
+          EncodeStatusPayload(WireStatus::kInvalidArgument, ToString(status));
+      SendFrame(fd, error);
+      break;
     }
+    if (!HandleFrame(fd, frame)) break;
   }
   ::close(fd);
   std::lock_guard<std::mutex> lock(mu_);

@@ -1,121 +1,39 @@
 #include "server/remote_cache_client.h"
 
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
+#include <exception>
 #include <utility>
 
 namespace p2::server {
 
-namespace {
-
-constexpr std::size_t kRecvChunk = 64 * 1024;
-
-}  // namespace
-
 RemoteCacheClient::RemoteCacheClient(int port) : port_(port) {}
 
-RemoteCacheClient::~RemoteCacheClient() {
-  std::unique_lock<std::mutex> lock(mu_);
-  CloseLocked();
-}
-
-void RemoteCacheClient::CloseLocked() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-  buffer_.clear();
-}
-
-bool RemoteCacheClient::EnsureConnectedLocked() {
-  if (fd_ >= 0) return true;
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return false;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port_));
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    return false;
-  }
-  fd_ = fd;
-  buffer_.clear();
-  return true;
-}
-
-bool RemoteCacheClient::SendRawLocked(const std::string& bytes) {
-  std::size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t n =
-        ::send(fd_, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
+bool RemoteCacheClient::RoundTripLocked(const Frame& request,
+                                        FrameType reply_type, Frame* reply) {
+  if (client_ == nullptr) {
+    try {
+      client_ = std::make_unique<PlannerClient>(port_);
+    } catch (const std::exception&) {
+      return false;  // the plane is unreachable (the backend never throws)
     }
-    sent += static_cast<std::size_t>(n);
   }
-  return true;
-}
-
-bool RemoteCacheClient::ReceiveFrameLocked(Frame* frame) {
-  std::string chunk(kRecvChunk, '\0');
-  for (;;) {
-    std::size_t consumed = 0;
-    const FrameDecodeStatus status = DecodeFrame(buffer_, frame, &consumed);
-    if (status == FrameDecodeStatus::kOk) {
-      buffer_.erase(0, consumed);
-      return true;
-    }
-    if (status != FrameDecodeStatus::kNeedMore) return false;
-    const ssize_t n = ::recv(fd_, chunk.data(), chunk.size(), 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    buffer_.append(chunk.data(), static_cast<std::size_t>(n));
-  }
-}
-
-bool RemoteCacheClient::RoundTripLocked(const Frame& request, Frame* reply) {
-  if (!EnsureConnectedLocked()) return false;
-  if (!SendRawLocked(EncodeFrame(request)) || !ReceiveFrameLocked(reply)) {
-    // The connection is unusable (peer gone, or framing lost mid-stream);
-    // drop it so the next call reconnects from a clean slate.
-    CloseLocked();
-    return false;
-  }
-  return true;
+  return client_->RoundTrip(request, reply) && reply->type == reply_type;
 }
 
 engine::RemoteLookupResult RemoteCacheClient::Lookup(
     const std::string& base_key, std::int64_t cap) {
   engine::RemoteLookupResult result;  // kUnavailable until proven otherwise
-  CacheLookupWireRequest request;
-  request.base_key = base_key;
-  request.cap = cap;
-  Frame frame;
-  frame.type = FrameType::kCacheLookupRequest;
-  frame.payload = EncodeCacheLookupRequest(request);
+  const Frame request{FrameType::kCacheLookupRequest,
+                      EncodeCacheLookupRequest({base_key, cap})};
   Frame reply;
-  std::unique_lock<std::mutex> lock(mu_);
-  if (!RoundTripLocked(frame, &reply)) return result;
-  if (reply.type != FrameType::kCacheLookupResponse) {
-    // An Error frame (e.g. the server is not a cache server) or any other
-    // type: this plane cannot serve us. The connection itself is still
-    // framed correctly, so keep it — the failure is semantic, not
-    // transport.
-    return result;
-  }
   CacheLookupWireResponse wire;
   std::string error;
-  if (!DecodeCacheLookupResponse(reply.payload, &wire, &error)) {
-    CloseLocked();
-    return result;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!RoundTripLocked(request, FrameType::kCacheLookupResponse, &reply) ||
+        !DecodeCacheLookupResponse(reply.payload, &wire, &error)) {
+      client_.reset();
+      return result;
+    }
   }
   switch (wire.kind) {
     case CacheLookupWireResponse::Kind::kHit:
@@ -136,22 +54,17 @@ engine::RemoteLookupResult RemoteCacheClient::Lookup(
 
 bool RemoteCacheClient::Publish(const std::string& key,
                                 const core::SynthesisResult& result) {
-  engine::CacheFileEntry entry;
-  entry.key = key;
-  entry.result = result;
   // Stamp 0 = "unknown age": the plane's persistent store stamps the entry
   // at its next save, exactly as it does for v1 files.
-  Frame frame;
-  frame.type = FrameType::kCachePublishRequest;
-  frame.payload = EncodeCachePublishRequest(entry);
+  const Frame request{FrameType::kCachePublishRequest,
+                      EncodeCachePublishRequest({key, result})};
   Frame reply;
-  std::unique_lock<std::mutex> lock(mu_);
-  if (!RoundTripLocked(frame, &reply)) return false;
-  if (reply.type != FrameType::kCachePublishResponse) return false;
   WireStatus status = WireStatus::kInternal;
   std::string text;
-  if (!DecodeStatusPayload(reply.payload, &status, &text)) {
-    CloseLocked();
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!RoundTripLocked(request, FrameType::kCachePublishResponse, &reply) ||
+      !DecodeStatusPayload(reply.payload, &status, &text)) {
+    client_.reset();
     return false;
   }
   return status == WireStatus::kOk;

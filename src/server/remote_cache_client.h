@@ -1,15 +1,16 @@
 // Worker-side client for the cache plane served by `p2_server
 // --cache-server`: an engine::RemoteCacheBackend that speaks the framed
-// protocol of server/wire_protocol.h (frame types 8-11) over one TCP
-// connection to the loopback interface.
+// protocol of server/wire_protocol.h (frame types 8-11) through a
+// PlannerClient (server/planner_client.h) on the loopback interface.
 //
 // The backend contract (engine/remote_cache.h) is "never throw, never
 // wedge": construction does not connect (the ctor cannot fail), the first
-// call connects lazily, and every transport or protocol failure closes the
-// connection and degrades to kUnavailable / false — the SynthesisCache then
-// proceeds local-only and counts remote_errors. A later call retries the
-// connection, so a plane that restarts is picked back up without any
-// client-side state management.
+// call connects lazily, and every failure (the plane is unreachable, the
+// connection drops, framing is lost, or the reply is of the wrong type or
+// malformed) drops the connection and degrades to kUnavailable / false; the
+// SynthesisCache then proceeds local-only and counts remote_errors. The
+// next call connects afresh, so a plane that restarts is picked back up
+// without any client-side state management.
 //
 // Round trips are serialized under an internal mutex: the plane protocol is
 // strictly request/response on one connection, and workers consult the
@@ -19,10 +20,12 @@
 #define P2_SERVER_REMOTE_CACHE_CLIENT_H_
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 
 #include "engine/remote_cache.h"
+#include "server/planner_client.h"
 #include "server/wire_protocol.h"
 
 namespace p2::server {
@@ -31,7 +34,6 @@ class RemoteCacheClient : public engine::RemoteCacheBackend {
  public:
   /// Remembers the port; does not connect (lazy, on first use).
   explicit RemoteCacheClient(int port);
-  ~RemoteCacheClient() override;
 
   RemoteCacheClient(const RemoteCacheClient&) = delete;
   RemoteCacheClient& operator=(const RemoteCacheClient&) = delete;
@@ -42,19 +44,15 @@ class RemoteCacheClient : public engine::RemoteCacheBackend {
                const core::SynthesisResult& result) override;
 
  private:
-  /// Connects if not connected; false when the plane is unreachable.
-  bool EnsureConnectedLocked();
-  /// One request/response exchange; any failure closes the connection and
-  /// returns false. `reply` holds a well-formed frame on true.
-  bool RoundTripLocked(const Frame& request, Frame* reply);
-  bool SendRawLocked(const std::string& bytes);
-  bool ReceiveFrameLocked(Frame* frame);
-  void CloseLocked();
+  /// One exchange over the connection, connecting first if there is none:
+  /// true when a reply of type `reply_type` arrived. The caller drops the
+  /// connection (client_.reset()) on false.
+  bool RoundTripLocked(const Frame& request, FrameType reply_type,
+                       Frame* reply);
 
   const int port_;
   std::mutex mu_;
-  int fd_ = -1;         ///< guarded by mu_
-  std::string buffer_;  ///< guarded by mu_; bytes beyond the last frame
+  std::unique_ptr<PlannerClient> client_;  ///< guarded by mu_; null = none
 };
 
 }  // namespace p2::server

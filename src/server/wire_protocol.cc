@@ -1,140 +1,22 @@
 #include "server/wire_protocol.h"
 
-#include <bit>
+#include <sys/socket.h>
+
+#include <cerrno>
 #include <cmath>
+
+#include "common/byte_codec.h"
 
 namespace p2::server {
 
 namespace {
 
-// FNV-1a 64-bit, as in engine/cache_store.cc: all a frame needs is
-// corruption *detection* — any flipped byte changes the digest.
-std::uint64_t Fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-// --- little-endian primitives ---------------------------------------------
-
-void AppendU8(std::string* out, std::uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-
-void AppendU32(std::string* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void AppendU64(std::string* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void AppendI32(std::string* out, std::int32_t v) {
-  AppendU32(out, static_cast<std::uint32_t>(v));
-}
-
-void AppendI64(std::string* out, std::int64_t v) {
-  AppendU64(out, static_cast<std::uint64_t>(v));
-}
-
-void AppendF64(std::string* out, double v) {
-  AppendU64(out, std::bit_cast<std::uint64_t>(v));
-}
-
 // Overloads for the SynthesisCacheStats field loop, whose members are
 // int64 counters and double seconds.
 void Append(std::string* out, std::int64_t v) { AppendI64(out, v); }
 void Append(std::string* out, double v) { AppendF64(out, v); }
-
-void AppendString(std::string* out, std::string_view s) {
-  AppendU32(out, static_cast<std::uint32_t>(s.size()));
-  out->append(s);
-}
-
-// Bounds-checked sequential reader (the cache_store idiom): every Read*
-// returns false on exhaustion, so a truncated or lying payload can never
-// walk off the buffer.
-class Reader {
- public:
-  explicit Reader(std::string_view bytes) : bytes_(bytes) {}
-
-  std::size_t remaining() const { return bytes_.size() - pos_; }
-  bool AtEnd() const { return pos_ == bytes_.size(); }
-
-  bool ReadU8(std::uint8_t* v) {
-    if (remaining() < 1) return false;
-    *v = static_cast<std::uint8_t>(bytes_[pos_++]);
-    return true;
-  }
-
-  bool ReadU32(std::uint32_t* v) {
-    if (remaining() < 4) return false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<std::uint32_t>(static_cast<unsigned char>(
-                bytes_[pos_ + static_cast<std::size_t>(i)]))
-            << (8 * i);
-    }
-    pos_ += 4;
-    return true;
-  }
-
-  bool ReadU64(std::uint64_t* v) {
-    if (remaining() < 8) return false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<std::uint64_t>(static_cast<unsigned char>(
-                bytes_[pos_ + static_cast<std::size_t>(i)]))
-            << (8 * i);
-    }
-    pos_ += 8;
-    return true;
-  }
-
-  bool ReadI32(std::int32_t* v) {
-    std::uint32_t u = 0;
-    if (!ReadU32(&u)) return false;
-    *v = static_cast<std::int32_t>(u);
-    return true;
-  }
-
-  bool ReadI64(std::int64_t* v) {
-    std::uint64_t u = 0;
-    if (!ReadU64(&u)) return false;
-    *v = static_cast<std::int64_t>(u);
-    return true;
-  }
-
-  bool ReadF64(double* v) {
-    std::uint64_t u = 0;
-    if (!ReadU64(&u)) return false;
-    *v = std::bit_cast<double>(u);
-    return true;
-  }
-
-  bool Read(std::int64_t* v) { return ReadI64(v); }
-  bool Read(double* v) { return ReadF64(v); }
-
-  bool ReadString(std::string* v) {
-    std::uint32_t len = 0;
-    if (!ReadU32(&len)) return false;
-    if (remaining() < len) return false;
-    v->assign(bytes_.substr(pos_, len));
-    pos_ += len;
-    return true;
-  }
-
- private:
-  std::string_view bytes_;
-  std::size_t pos_ = 0;
-};
+bool Read(ByteReader* r, std::int64_t* v) { return r->ReadI64(v); }
+bool Read(ByteReader* r, double* v) { return r->ReadF64(v); }
 
 // Sanity bounds for counts and sizes a decoder would otherwise trust from
 // the wire. Generous for every real request, tight enough that a forged
@@ -167,10 +49,27 @@ bool Fail(std::string* error, const char* reason) {
   return false;
 }
 
+// Only the six WireStatus codes exist on the wire; any other u32 is a
+// malformed payload, never a status to guess a meaning for.
+bool WireStatusFromCode(std::uint32_t code, WireStatus* status) {
+  switch (static_cast<WireStatus>(code)) {
+    case WireStatus::kOk:
+    case WireStatus::kCancelled:
+    case WireStatus::kInvalidArgument:
+    case WireStatus::kDeadlineExceeded:
+    case WireStatus::kResourceExhausted:
+    case WireStatus::kInternal:
+      *status = static_cast<WireStatus>(code);
+      return true;
+  }
+  return false;
+}
+
 // Semantic validation mirrors the cache store's decode policy: every
 // precondition the engine (hierarchy derivation, cost model) relies on is
 // checked here, so a forged request becomes kInvalidArgument, not a crash.
-bool DecodeCluster(Reader* r, topology::Cluster* cluster, std::string* error) {
+bool DecodeCluster(ByteReader* r, topology::Cluster* cluster,
+                   std::string* error) {
   topology::GpuNodeModel& node = cluster->node;
   std::uint8_t transport = 0;
   if (!r->ReadString(&node.name) || !r->ReadI32(&node.gpus_per_node) ||
@@ -236,11 +135,11 @@ void EncodePipelineStats(std::string* out, const engine::PipelineStats& s) {
   AppendI32(out, s.threads);
 }
 
-bool DecodePipelineStats(Reader* r, engine::PipelineStats* s) {
+bool DecodePipelineStats(ByteReader* r, engine::PipelineStats* s) {
   bool ok = r->ReadI64(&s->num_placements) &&
             r->ReadI64(&s->unique_hierarchies);
   engine::SynthesisCacheStats::ForEachField([&](const char*, auto member) {
-    ok = ok && r->Read(&(s->cache.*member));
+    ok = ok && Read(r, &(s->cache.*member));
   });
   return ok && r->ReadI64(&s->synth_states_visited) &&
          r->ReadI64(&s->synth_states_deduped) &&
@@ -314,7 +213,7 @@ FrameDecodeStatus DecodeFrame(std::string_view buffer, Frame* frame,
     return FrameDecodeStatus::kBadMagic;
   }
   if (buffer.size() < kFrameHeaderBytes) return FrameDecodeStatus::kNeedMore;
-  Reader header(buffer.substr(kFrameMagic.size(),
+  ByteReader header(buffer.substr(kFrameMagic.size(),
                               kFrameHeaderBytes - kFrameMagic.size()));
   std::uint32_t version = 0;
   std::uint8_t type = 0;
@@ -342,6 +241,36 @@ FrameDecodeStatus DecodeFrame(std::string_view buffer, Frame* frame,
   return FrameDecodeStatus::kOk;
 }
 
+bool SendAll(int fd, std::string_view bytes) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+    if (n <= 0) {
+      if (n < 0 && errno == EINTR) continue;
+      return false;
+    }
+    bytes.remove_prefix(static_cast<std::size_t>(n));
+  }
+  return true;
+}
+
+FrameDecodeStatus ReceiveFrame(int fd, std::string* buffer, Frame* frame) {
+  char chunk[64 * 1024];
+  for (;;) {
+    std::size_t consumed = 0;
+    const FrameDecodeStatus status = DecodeFrame(*buffer, frame, &consumed);
+    if (status != FrameDecodeStatus::kNeedMore) {
+      buffer->erase(0, consumed);
+      return status;
+    }
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n <= 0) {
+      if (n < 0 && errno == EINTR) continue;
+      return FrameDecodeStatus::kNeedMore;  // closed before a whole frame
+    }
+    buffer->append(chunk, static_cast<std::size_t>(n));
+  }
+}
+
 std::string EncodePlanRequest(const PlanWireRequest& request) {
   std::string out;
   AppendU8(&out, request.has_cluster ? 1 : 0);
@@ -364,7 +293,7 @@ std::string EncodePlanRequest(const PlanWireRequest& request) {
 bool DecodePlanRequest(std::string_view payload, PlanWireRequest* request,
                        std::string* error) {
   *request = PlanWireRequest{};
-  Reader r(payload);
+  ByteReader r(payload);
   std::uint8_t cluster_kind = 0;
   if (!r.ReadU8(&cluster_kind)) return Fail(error, "truncated request");
   if (cluster_kind > 1) return Fail(error, "unknown cluster encoding");
@@ -436,14 +365,16 @@ std::string EncodePlanResponse(const PlanWireResponse& response) {
 bool DecodePlanResponse(std::string_view payload, PlanWireResponse* response,
                         std::string* error) {
   *response = PlanWireResponse{};
-  Reader r(payload);
+  ByteReader r(payload);
   std::uint32_t status = 0;
   if (!r.ReadU32(&status) || !r.ReadString(&response->message) ||
       !r.ReadString(&response->body) ||
       !DecodePipelineStats(&r, &response->stats) || !r.AtEnd()) {
     return Fail(error, "malformed plan response");
   }
-  response->status = static_cast<WireStatus>(status);
+  if (!WireStatusFromCode(status, &response->status)) {
+    return Fail(error, "unknown wire status in plan response");
+  }
   return true;
 }
 
@@ -456,11 +387,10 @@ std::string EncodeStatusPayload(WireStatus status, std::string_view text) {
 
 bool DecodeStatusPayload(std::string_view payload, WireStatus* status,
                          std::string* text) {
-  Reader r(payload);
-  std::uint32_t raw = 0;
-  if (!r.ReadU32(&raw) || !r.ReadString(text) || !r.AtEnd()) return false;
-  *status = static_cast<WireStatus>(raw);
-  return true;
+  ByteReader r(payload);
+  std::uint32_t code = 0;
+  return r.ReadU32(&code) && r.ReadString(text) && r.AtEnd() &&
+         WireStatusFromCode(code, status);
 }
 
 std::string EncodeCacheLookupRequest(const CacheLookupWireRequest& request) {
@@ -474,7 +404,7 @@ bool DecodeCacheLookupRequest(std::string_view payload,
                               CacheLookupWireRequest* request,
                               std::string* error) {
   *request = CacheLookupWireRequest{};
-  Reader r(payload);
+  ByteReader r(payload);
   if (!r.ReadString(&request->base_key) || !r.ReadI64(&request->cap)) {
     return Fail(error, "truncated cache lookup");
   }
@@ -502,7 +432,7 @@ bool DecodeCacheLookupResponse(std::string_view payload,
                                CacheLookupWireResponse* response,
                                std::string* error) {
   *response = CacheLookupWireResponse{};
-  Reader r(payload);
+  ByteReader r(payload);
   std::uint8_t kind = 0;
   std::string entry_bytes;
   if (!r.ReadU8(&kind) || !r.ReadI32(&response->retry_after_ms) ||

@@ -1,8 +1,11 @@
-// The planner's wire format: length-prefixed frames in the same codec idiom
-// as the on-disk cache (engine/cache_store.cc) — versioned magic,
-// little-endian integers, a per-frame FNV-1a-64 checksum, and a
-// never-crash decode policy (every malformation is a status, the reader is
-// bounds-checked, counts are sanity-bounded before any reserve).
+// The planner's wire format and its socket transport: length-prefixed
+// frames written with the byte codec the on-disk cache also uses
+// (common/byte_codec.h) — versioned magic, little-endian integers, a
+// per-frame FNV-1a-64 checksum, and a never-crash decode policy (every
+// malformation is a status, the reader is bounds-checked, counts are
+// sanity-bounded before any reserve). SendAll and ReceiveFrame are the one
+// send loop and the one read-until-a-whole-frame loop that the server
+// (planner_server.h) and the client (planner_client.h) share.
 //
 //   frame  := magic "P2RF" | version u32 | type u8 | payload_len u32
 //             | checksum u64 (FNV-1a-64 of payload) | payload bytes
@@ -116,6 +119,17 @@ std::string EncodeFrame(const Frame& frame);
 FrameDecodeStatus DecodeFrame(std::string_view buffer, Frame* frame,
                               std::size_t* consumed);
 
+/// Writes all of `bytes` to the socket `fd`, resuming after short writes and
+/// EINTR; false once the peer is gone. Never raises SIGPIPE.
+bool SendAll(int fd, std::string_view bytes);
+
+/// Reads from the socket `fd` until `buffer` holds a whole frame, then moves
+/// that frame out of `buffer` into `frame`. `buffer` keeps any bytes beyond
+/// the frame for the next call. Returns DecodeFrame's status: kOk, a
+/// protocol violation (framing is lost), or kNeedMore when the peer closed,
+/// or the read failed, before a whole frame arrived.
+FrameDecodeStatus ReceiveFrame(int fd, std::string* buffer, Frame* frame);
+
 /// The body of a PlanRequest frame. Exactly one of `preset_system` (with
 /// `preset_nodes`) or `cluster` (with has_cluster) names the machine.
 struct PlanWireRequest {
@@ -147,11 +161,14 @@ struct PlanWireResponse {
 };
 
 std::string EncodePlanResponse(const PlanWireResponse& response);
+/// False with a reason on a malformed payload, including a status code that
+/// is not one of the WireStatus values.
 bool DecodePlanResponse(std::string_view payload, PlanWireResponse* response,
                         std::string* error);
 
 /// StatsResponse / Error / CachePublishResponse payloads share one shape:
-/// status + a string (the stats JSON document, or the error detail).
+/// status + a string (the stats JSON document, or the error detail). As for
+/// a PlanResponse, a status code outside WireStatus decodes false.
 std::string EncodeStatusPayload(WireStatus status, std::string_view text);
 bool DecodeStatusPayload(std::string_view payload, WireStatus* status,
                          std::string* text);

@@ -3,13 +3,15 @@
 // element-wise and every stats field bit-for-bit, the signature key must be
 // stable across global-device renumbering (so a cache written under one
 // placement warms an isomorphic one), and equal caches must serialize to
-// byte-identical files.
+// byte-identical files. The v2 image is pinned to golden bytes, and a
+// hand-written v1 image still loads.
 #include "engine/cache_store.h"
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include "test_hex.h"
 #include "test_temp_path.h"
 
 #include <cstdint>
@@ -17,6 +19,7 @@
 #include <fstream>
 #include <random>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/synthesis_hierarchy.h"
@@ -273,6 +276,107 @@ TEST(CacheStore, MissingFileIsACleanColdStart) {
   EXPECT_EQ(store.LoadInto(&cache), CacheLoadStatus::kNoFile);
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(store.entries_loaded(), 0);
+}
+
+
+// ---- golden bytes ---------------------------------------------------------
+//
+// Round trips pass even when the encoder and the decoder change together,
+// e.g. through a byte-order slip in a shared writer and reader. Files that
+// earlier runs wrote would then stop loading, so the format is pinned to
+// bytes captured from the v2 encoder and to a v1 image written out by hand.
+
+// Every field holds a distinct value, and the second entry sets high bytes,
+// so a dropped, swapped or re-ordered field changes the image.
+std::vector<CacheFileEntry> GoldenEntries() {
+  CacheFileEntry a;
+  a.key = "levels:2,4;goal:[0,1];size<=3;cap=64";
+  a.result.stats.instructions_tried = 11;
+  a.result.stats.applications_succeeded = 7;
+  a.result.stats.states_visited = 5;
+  a.result.stats.states_deduped = 3;
+  a.result.stats.branches_pruned = 2;
+  a.result.stats.alphabet_size = 9;
+  a.result.stats.seconds = 0.125;
+  a.result.programs = {
+      {core::Instruction{1, core::Form::Parallel(0),
+                         core::Collective::kReduceScatter},
+       core::Instruction{0, core::Form::InsideGroup(),
+                         core::Collective::kAllReduce}},
+      {core::Instruction{1, core::Form::Master(0),
+                         core::Collective::kBroadcast}}};
+  a.saved_unix_seconds = 1700000000;
+  CacheFileEntry b;
+  b.key = "levels:8;goal:[0];size<=1;cap=2";
+  b.result.stats.instructions_tried = std::int64_t{1} << 40;
+  b.result.stats.seconds = -0.5;
+  b.result.programs = {{core::Instruction{0, core::Form::InsideGroup(),
+                                          core::Collective::kAllGather}}};
+  b.saved_unix_seconds = 0x0102030405060708ull;
+  return {a, b};
+}
+
+constexpr const char* kGoldenV2Image =
+    "503253430200000002000000000000008e000000fdccb9994bf23d4324000000"
+    "6c6576656c733a322c343b676f616c3a5b302c315d3b73697a653c3d333b6361"
+    "703d36340b000000000000000700000000000000050000000000000003000000"
+    "00000000020000000000000009000000000000000000c03f0200000002000000"
+    "010000000100000000010000000000ffffffff00010000000100000002000000"
+    "000400f153650000000071000000d104a086f3691d1f1f0000006c6576656c73"
+    "3a383b676f616c3a5b305d3b73697a653c3d313b6361703d3200000000000100"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000e0bf01000000010000000000000000ffffffff0208"
+    "07060504030201";
+
+TEST(CacheStoreGolden, TwoEntryImageMatchesTheCapturedBytes) {
+  const std::vector<CacheFileEntry> entries = GoldenEntries();
+  EXPECT_EQ(test::Hex(CacheStore::EncodeFile(entries)), kGoldenV2Image);
+  // The decoder reads those bytes back to the same entries.
+  const CacheFileContents contents =
+      CacheStore::DecodeFile(test::Unhex(kGoldenV2Image));
+  ASSERT_EQ(contents.status, CacheLoadStatus::kOk) << contents.message;
+  ASSERT_EQ(contents.entries.size(), entries.size());
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    EXPECT_EQ(contents.entries[i].key, entries[i].key);
+    ExpectSameResult(contents.entries[i].result, entries[i].result);
+    EXPECT_EQ(contents.entries[i].saved_unix_seconds,
+              entries[i].saved_unix_seconds);
+  }
+}
+
+TEST(CacheStoreGolden, HandWrittenVersion1ImageLoadsWithoutStamps) {
+  const std::string image = test::Unhex(
+      "50325343"                  // magic "P2SC"
+      "01000000"                  // format version 1
+      "0100000000000000"          // one entry
+      "78000000"                  // payload length 120
+      "6f9efa0c048e6a25"          // FNV-1a-64 of the payload
+      "24000000"                  // key length 36
+      "6c6576656c733a322c343b"    // "levels:2,4;"
+      "676f616c3a5b302c315d3b"    // "goal:[0,1];"
+      "73697a653c3d333b"          // "size<=3;"
+      "6361703d3634"              // "cap=64"
+      "0b00000000000000"          // instructions_tried 11
+      "0700000000000000"          // applications_succeeded 7
+      "0500000000000000"          // states_visited 5
+      "0300000000000000"          // states_deduped 3
+      "0200000000000000"          // branches_pruned 2
+      "09000000"                  // alphabet 9
+      "000000000000c03f"          // seconds 0.125
+      "01000000"                  // one program
+      "02000000"                  // of two instructions:
+      "01000000" "01" "00000000" "01"  // slice 1, Parallel(0), ReduceScatter
+      "00000000" "00" "ffffffff" "00"  // slice 0, InsideGroup, AllReduce
+  );  // v1: no first-persisted stamp after the programs
+  const CacheFileContents contents = CacheStore::DecodeFile(image);
+  ASSERT_EQ(contents.status, CacheLoadStatus::kOk) << contents.message;
+  ASSERT_EQ(contents.entries.size(), 1u);
+  const CacheFileEntry& entry = contents.entries[0];
+  EXPECT_EQ(entry.saved_unix_seconds, 0u);  // unknown age
+  EXPECT_EQ(entry.key, "levels:2,4;goal:[0,1];size<=3;cap=64");
+  CacheFileEntry expected = GoldenEntries()[0];
+  expected.result.programs.resize(1);
+  ExpectSameResult(entry.result, expected.result);
 }
 
 }  // namespace

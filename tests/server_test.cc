@@ -4,7 +4,8 @@
 // Error frame while malformed payloads inside valid frames keep it alive,
 // and the concurrency oracle holds — bodies served over N concurrent
 // connections are byte-identical to a serial in-process reference, including
-// while neighbouring requests abort mid-flight.
+// while neighbouring requests abort mid-flight. Frames are pinned to golden
+// bytes, and a remote cache client picks a restarted cache plane back up.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -23,6 +24,7 @@
 #include "server/planner_server.h"
 #include "server/remote_cache_client.h"
 #include "server/wire_protocol.h"
+#include "test_hex.h"
 #include "topology/presets.h"
 
 namespace p2::server {
@@ -380,6 +382,46 @@ TEST(WirePayload, PlanResponseRejectsEveryTruncationAndTrailingBytes) {
   EXPECT_TRUE(DecodePlanResponse(payload, &decoded, &error)) << error;
 }
 
+TEST(WirePayload, StatusCodesOutsideWireStatusAreRejected) {
+  // Every status the planner sends survives both payload shapes...
+  for (const WireStatus status :
+       {WireStatus::kOk, WireStatus::kCancelled, WireStatus::kInvalidArgument,
+        WireStatus::kDeadlineExceeded, WireStatus::kResourceExhausted,
+        WireStatus::kInternal}) {
+    PlanWireResponse response;
+    response.status = status;
+    PlanWireResponse decoded;
+    std::string error;
+    ASSERT_TRUE(
+        DecodePlanResponse(EncodePlanResponse(response), &decoded, &error))
+        << error;
+    EXPECT_EQ(decoded.status, status);
+    WireStatus carried = WireStatus::kOk;
+    std::string text;
+    ASSERT_TRUE(DecodeStatusPayload(EncodeStatusPayload(status, "text"),
+                                    &carried, &text));
+    EXPECT_EQ(carried, status);
+  }
+  // ...while any other code, including gRPC codes the planner never sends,
+  // is a malformed payload rather than a status to guess a meaning for.
+  for (const std::uint32_t code : {2u, 5u, 12u, 14u, 99u, 0xffffffffu}) {
+    PlanWireResponse response;
+    response.status = static_cast<WireStatus>(code);
+    PlanWireResponse decoded;
+    std::string error;
+    EXPECT_FALSE(
+        DecodePlanResponse(EncodePlanResponse(response), &decoded, &error))
+        << "code " << code;
+    EXPECT_FALSE(error.empty()) << "code " << code;
+    WireStatus carried = WireStatus::kOk;
+    std::string text;
+    EXPECT_FALSE(DecodeStatusPayload(
+        EncodeStatusPayload(static_cast<WireStatus>(code), "text"), &carried,
+        &text))
+        << "code " << code;
+  }
+}
+
 TEST(WireStatusMapping, AbortTaxonomyMapsOneToOne) {
   const auto status_for = [](std::exception_ptr error) {
     return WireStatusFor(engine::ClassifyPlanError(std::move(error)));
@@ -396,6 +438,115 @@ TEST(WireStatusMapping, AbortTaxonomyMapsOneToOne) {
             WireStatus::kInvalidArgument);
   EXPECT_EQ(status_for(std::make_exception_ptr(std::runtime_error("boom"))),
             WireStatus::kInternal);
+}
+
+// ---- golden bytes ---------------------------------------------------------
+//
+// Round trips pass even when the encoder and the decoder change together,
+// e.g. through a byte-order slip in a shared writer and reader; a peer at
+// the same wire version would then misread every frame. These pin whole
+// frames, header and checksum included, to bytes captured at version 4.
+
+PlanWireRequest GoldenPlanRequest() {
+  PlanWireRequest request;
+  request.has_cluster = true;
+  topology::Cluster& cluster = request.cluster;
+  cluster.node.name = "golden";
+  cluster.node.gpus_per_node = 4;
+  cluster.node.transport = topology::IntraNodeTransport::kNvLinkRing;
+  cluster.node.local_bandwidth = 100.5;
+  cluster.node.local_latency = 1e-6;
+  cluster.node.pcie_domains = 2;
+  cluster.node.pcie_bandwidth = 16.25;
+  cluster.node.pcie_latency = 4e-6;
+  cluster.node.nic_bandwidth = 12.5;
+  cluster.node.nic_latency = 8e-6;
+  cluster.num_nodes = 4;
+  cluster.dcn_latency = 3e-5;
+  cluster.racks = 2;
+  cluster.rack_uplink_bandwidth = 25.0;
+  cluster.rack_uplink_latency = 6e-5;
+  request.axes = {4, 2, 2};
+  request.reduction_axes = {0, 2};
+  request.max_programs = 40;
+  request.measure_top_k = 3;
+  request.deadline_ms = 1500;
+  return request;
+}
+
+PlanWireResponse GoldenPlanResponse() {
+  PlanWireResponse response = ResponseWithEveryCacheCounterSet();
+  response.body = "placement 0\n";
+  response.stats.unique_hierarchies = 2;
+  response.stats.synth_states_visited = 40;
+  response.stats.synth_states_deduped = 41;
+  response.stats.synth_branches_pruned = 42;
+  response.stats.guided_skipped = 43;
+  response.stats.synthesis_seconds = 0.25;
+  response.stats.evaluation_seconds = 0.5;
+  response.stats.total_seconds = 1.0;
+  return response;
+}
+
+/// Decodes a captured frame and its payload, then re-encodes both: equal
+/// bytes mean the decoders read the captured format field for field.
+template <typename Payload>
+std::string ReencodedFrame(const std::string& bytes,
+                           bool (*decode)(std::string_view, Payload*,
+                                          std::string*),
+                           std::string (*encode)(const Payload&)) {
+  Frame frame;
+  std::size_t consumed = 0;
+  EXPECT_EQ(DecodeFrame(bytes, &frame, &consumed), FrameDecodeStatus::kOk);
+  EXPECT_EQ(consumed, bytes.size());
+  Payload payload;
+  std::string error;
+  EXPECT_TRUE(decode(frame.payload, &payload, &error)) << error;
+  return EncodeFrame(Frame{frame.type, encode(payload)});
+}
+
+constexpr const char* kGoldenPlanRequestFrame =
+    "503252460400000001a0000000130abbeb5b4321320106000000676f6c64656e"
+    "040000000100000000002059408dedb5a0f7c6b03e0200000000000000004030"
+    "408dedb5a0f7c6d03e00000000000029408dedb5a0f7c6e03e04000000691d55"
+    "4d1075ff3e020000000000000000003940691d554d10750f3f03000000040000"
+    "0000000000020000000000000002000000000000000200000000000000020000"
+    "00280000000000000003000000dc05000000000000";
+
+constexpr const char* kGoldenPlanResponseFrame =
+    "503252460400000002c400000094533986443e62dd00000000000000000c0000"
+    "00706c6163656d656e7420300a03000000000000000200000000000000650000"
+    "0000000000660000000000000067000000000000006800000000000000690000"
+    "00000000006a000000000000006b000000000000006c000000000000006d0000"
+    "00000000006e000000000000000000000000c05b400000000000005c40280000"
+    "000000000029000000000000002a000000000000002b00000000000000000000"
+    "000000d03f000000000000e03f000000000000f03f02000000";
+
+constexpr const char* kGoldenCacheLookupHitFrame =
+    "50325246040000000984000000de97dadcfb68af8501000000007b0000002900"
+    "00006c6576656c733a312c323b676f616c3a5b302c315d3b73697a653c3d353b"
+    "6361703d31303438353736000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000d03f01"
+    "000000010000000000000000ffffffff0000f1536500000000";
+
+TEST(WireGolden, PlanRequestWithAnInlineCluster) {
+  const std::string frame = EncodeFrame(
+      Frame{FrameType::kPlanRequest, EncodePlanRequest(GoldenPlanRequest())});
+  EXPECT_EQ(test::Hex(frame), kGoldenPlanRequestFrame);
+  EXPECT_EQ(test::Hex(ReencodedFrame(test::Unhex(kGoldenPlanRequestFrame),
+                                     &DecodePlanRequest, &EncodePlanRequest)),
+            kGoldenPlanRequestFrame);
+}
+
+TEST(WireGolden, PlanResponse) {
+  const std::string frame =
+      EncodeFrame(Frame{FrameType::kPlanResponse,
+                        EncodePlanResponse(GoldenPlanResponse())});
+  EXPECT_EQ(test::Hex(frame), kGoldenPlanResponseFrame);
+  EXPECT_EQ(
+      test::Hex(ReencodedFrame(test::Unhex(kGoldenPlanResponseFrame),
+                               &DecodePlanResponse, &EncodePlanResponse)),
+      kGoldenPlanResponseFrame);
 }
 
 // ---- end-to-end -----------------------------------------------------------
@@ -604,12 +755,13 @@ TEST(PlannerServerTest, StatsEndpointServesWellFormedCounters) {
 
 /// A fixture whose server also serves the cache plane (frames 8-11).
 struct CacheServerFixture {
-  CacheServerFixture() {
+  explicit CacheServerFixture(int port = 0) {
     engine::PlannerServiceOptions options;
     options.threads = 2;
     options.engine = FastOptions();
     service = std::make_unique<engine::PlannerService>(options);
     PlannerServerOptions server_options;
+    server_options.port = port;
     server_options.cache_server = true;
     server = std::make_unique<PlannerServer>(*service, server_options);
   }
@@ -682,6 +834,20 @@ TEST(WirePayload, CacheLookupAndPublishPayloadsRoundTrip) {
   EXPECT_FALSE(DecodeCachePublishRequest(EncodeCachePublishRequest(forged),
                                          &published, &error));
   EXPECT_FALSE(error.empty());
+}
+
+TEST(WireGolden, CacheLookupHit) {
+  CacheLookupWireResponse hit;
+  hit.kind = CacheLookupWireResponse::Kind::kHit;
+  hit.entry = ValidCacheEntry();
+  hit.entry.saved_unix_seconds = 1700000000;
+  const std::string frame = EncodeFrame(Frame{
+      FrameType::kCacheLookupResponse, EncodeCacheLookupResponse(hit)});
+  EXPECT_EQ(test::Hex(frame), kGoldenCacheLookupHitFrame);
+  EXPECT_EQ(test::Hex(ReencodedFrame(test::Unhex(kGoldenCacheLookupHitFrame),
+                                     &DecodeCacheLookupResponse,
+                                     &EncodeCacheLookupResponse)),
+            kGoldenCacheLookupHitFrame);
 }
 
 TEST(CacheServerTest, GrantRetryPublishHitCycle) {
@@ -897,6 +1063,24 @@ TEST(CacheServerTest, UnreachablePlaneDegradesToLocalSynthesis) {
   EXPECT_GT(stats.cache.misses, 0);
   EXPECT_GT(stats.cache.remote_errors, 0);
   EXPECT_EQ(stats.cache.remote_hits, 0);
+}
+
+TEST(CacheServerTest, RemoteClientPicksARestartedPlaneBackUp) {
+  using Kind = engine::RemoteLookupResult::Kind;
+  // A port that held a plane, with nothing behind it any more.
+  auto plane = std::make_unique<CacheServerFixture>();
+  const int port = plane->server->port();
+  plane.reset();
+  RemoteCacheClient worker(port);
+  EXPECT_EQ(worker.Lookup(kBaseKey, 1048576).kind, Kind::kUnavailable);
+  // A plane started on that port is picked up by the same client...
+  plane = std::make_unique<CacheServerFixture>(port);
+  EXPECT_EQ(worker.Lookup(kBaseKey, 1048576).kind, Kind::kOwned);
+  // ...and, once that plane dies under its open connection, so is the next.
+  plane.reset();
+  EXPECT_EQ(worker.Lookup(kBaseKey, 1048576).kind, Kind::kUnavailable);
+  plane = std::make_unique<CacheServerFixture>(port);
+  EXPECT_EQ(worker.Lookup(kBaseKey, 1048576).kind, Kind::kOwned);
 }
 
 TEST(PlannerServerTest, ShutdownFrameAcksOnlyAfterTheDrain) {
