@@ -1,7 +1,10 @@
 // google-benchmark microbenchmarks for the P2 building blocks: placement
 // enumeration, collective-semantics checking, grouping, synthesis, lowering,
-// the analytic cost model and the flow-level substrate.
+// the analytic cost model and the flow-level substrate (a simulation, and a
+// hit in the executor's step memo).
 #include <benchmark/benchmark.h>
+
+#include <optional>
 
 #include "core/collective_semantics.h"
 #include "core/grouping.h"
@@ -92,20 +95,41 @@ void BM_CostModelPredict(benchmark::State& state) {
 }
 BENCHMARK(BM_CostModelPredict);
 
-void BM_SubstrateMeasure(benchmark::State& state) {
-  const runtime::Executor exec(topology::MakeA100Cluster(4));
+core::LoweredProgram SubstrateProgram() {
   const core::ParallelismMatrix m({{4, 4}, {1, 4}});
   const std::vector<int> axes = {0};
   const auto sh = core::SynthesisHierarchy::Build(
       m, axes, core::SynthesisHierarchyKind::kReductionAxes);
-  const auto lowered =
-      core::LowerProgram(sh, *engine::ReduceScatterAllReduceAllGather(sh));
+  return core::LowerProgram(sh, *engine::ReduceScatterAllReduceAllGather(sh));
+}
+
+// The flow simulator: a fresh Executor per iteration, built and destroyed
+// untimed, so every step misses the executor's step memo.
+void BM_SubstrateMeasure(benchmark::State& state) {
+  const topology::Cluster cluster = topology::MakeA100Cluster(4);
+  const auto lowered = SubstrateProgram();
+  std::optional<runtime::Executor> exec;
+  for (auto _ : state) {
+    state.PauseTiming();
+    exec.emplace(cluster);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(
+        exec->MeasureProgram(lowered, 8e9, core::NcclAlgo::kRing));
+  }
+}
+BENCHMARK(BM_SubstrateMeasure);
+
+// The same program on one warm Executor: every step is a memo hit.
+void BM_SubstrateMeasureMemoHit(benchmark::State& state) {
+  const runtime::Executor exec(topology::MakeA100Cluster(4));
+  const auto lowered = SubstrateProgram();
+  exec.MeasureProgram(lowered, 8e9, core::NcclAlgo::kRing);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         exec.MeasureProgram(lowered, 8e9, core::NcclAlgo::kRing));
   }
 }
-BENCHMARK(BM_SubstrateMeasure);
+BENCHMARK(BM_SubstrateMeasureMemoHit);
 
 }  // namespace
 

@@ -154,8 +154,10 @@ class Engine {
   const topology::Cluster& cluster() const { return cluster_; }
   const EngineOptions& options() const { return options_; }
   double payload_bytes() const { return payload_bytes_; }
-  /// The analytic model and the runtime substrate. Both are const-thread-safe
-  /// over their immutable topology::Network, so pipeline workers share them.
+  /// The analytic model and the runtime substrate, shared by pipeline
+  /// workers. The model is const-thread-safe over its immutable
+  /// topology::Network; the executor adds a mutex-guarded step memo, so
+  /// every request on this engine simulates each distinct step once.
   const cost::CostModel& cost_model() const { return cost_model_; }
   const runtime::Executor& executor() const { return executor_; }
 

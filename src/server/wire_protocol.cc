@@ -115,6 +115,15 @@ bool DecodeCluster(ByteReader* r, topology::Cluster* cluster,
   if (node.local_bandwidth <= 0.0 || node.nic_bandwidth <= 0.0) {
     return Fail(error, "zero link bandwidth");
   }
+  // A node's cross-node traffic crosses its PCIe switches, if it has any:
+  // GPUs left over by an uneven split reach no switch, and a zero-bandwidth
+  // switch stalls every flow through it.
+  if (node.PcieSwitches() > 0) {
+    if (node.gpus_per_node % node.PcieSwitches() != 0) {
+      return Fail(error, "pcie_domains must evenly divide gpus_per_node");
+    }
+    if (node.pcie_bandwidth <= 0.0) return Fail(error, "zero PCIe bandwidth");
+  }
   return true;
 }
 

@@ -1,5 +1,6 @@
 #include "topology/cluster.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
@@ -23,6 +24,12 @@ int GpuNodeModel::PcieDomainOf(int local_rank) const {
   }
   const int per_domain = gpus_per_node / pcie_domains;
   return local_rank / per_domain;
+}
+
+int GpuNodeModel::PcieSwitches() const {
+  return transport == IntraNodeTransport::kNvLinkRing
+             ? std::max(1, pcie_domains)
+             : 0;
 }
 
 SystemHierarchy Cluster::hierarchy() const {
@@ -51,12 +58,13 @@ std::string Cluster::Fingerprint() const {
      << topology::ToString(node.transport) << ";local=" << f(node.local_bandwidth)
      << ',' << f(node.local_latency);
   // Parameters that cannot reach the cost model or the flow simulator are
-  // normalized away, not serialized: an A100-style node's PCIe figures and a
-  // single-rack cluster's uplink figures describe hardware that does not
-  // exist, so clusters differing only there are the same machine.
-  if (node.pcie_domains > 0) {
-    os << ";pcie=" << node.pcie_domains << ',' << f(node.pcie_bandwidth) << ','
-       << f(node.pcie_latency);
+  // normalized away, not serialized: the PCIe figures of a node without PCIe
+  // switches and a single-rack cluster's uplink figures describe hardware
+  // that does not exist, so clusters differing only there are the same
+  // machine.
+  if (node.PcieSwitches() > 0) {
+    os << ";pcie=" << node.PcieSwitches() << ',' << f(node.pcie_bandwidth)
+       << ',' << f(node.pcie_latency);
   }
   os << ";nic=" << f(node.nic_bandwidth) << ',' << f(node.nic_latency)
      << ";nodes=" << num_nodes << ";dcn=" << f(dcn_latency);

@@ -31,7 +31,8 @@ struct GpuNodeModel {
   double local_latency = 2e-6;
 
   /// PCIe fallback domains (V100: 2 domains of gpus_per_node/2 GPUs behind one
-  /// PCIe switch each). 0 means no PCIe fallback (A100-style).
+  /// PCIe switch each). 0 means none on an NVSwitch node (A100-style); an
+  /// NVLink ring node always has at least one (see PcieSwitches).
   int pcie_domains = 0;
   double pcie_bandwidth = 32.0;  ///< per-domain switch capacity, shared
   double pcie_latency = 5e-6;
@@ -43,6 +44,11 @@ struct GpuNodeModel {
   double nic_latency = 1e-5;
 
   int PcieDomainOf(int local_rank) const;
+
+  /// PCIe switches the node's network has (topology::Network::Build): none
+  /// on an NVSwitch node, and max(1, pcie_domains) on an NVLink ring node,
+  /// whose cross-node traffic crosses them.
+  int PcieSwitches() const;
 };
 
 /// A homogeneous cluster: `num_nodes` copies of `node` on a data-center
@@ -78,8 +84,9 @@ struct Cluster {
   /// (engine/service.h). Properties:
   ///   - renumbering/labelling-stable: the node `name` is display-only and
   ///     excluded, and parameters that cannot affect any plan are
-  ///     normalized away (PCIe figures when there are no PCIe domains, rack
-  ///     uplink figures when there is a single rack);
+  ///     normalized away (PCIe figures when the node has no PCIe switches,
+  ///     rack uplink figures when there is a single rack), and a ring
+  ///     node's 0 and 1 PCIe domains, which build one network, are equal;
   ///   - cost-parameter-aware: every bandwidth and latency is rendered with
   ///     %.17g, so distinct values never collide.
   std::string Fingerprint() const;

@@ -110,7 +110,7 @@ Network Network::Build(const Cluster& cluster, NetworkFidelity fidelity) {
                       node.local_bandwidth, node.local_latency);
       }
       // PCIe domains, each behind one switch, joined via the shared NIC.
-      const int domains = std::max(1, node.pcie_domains);
+      const int domains = node.PcieSwitches();
       const int per_domain = node.gpus_per_node / domains;
       for (int d = 0; d < domains; ++d) {
         const int sw = net.AddVertex();

@@ -82,6 +82,32 @@ TEST(ClusterFingerprint, NormalizesUnreachableParameters) {
   EXPECT_EQ(a.Fingerprint(), b.Fingerprint());
 }
 
+TEST(ClusterFingerprint, RingNodePcieFiguresCountEvenWithoutDomains) {
+  // An NVLink ring node always builds at least one PCIe switch, which carries
+  // its cross-node traffic, so 0 domains still leaves the PCIe figures
+  // modeled — and 0 and 1 domains build the same network.
+  EXPECT_EQ(MakeV100Cluster(2).node.PcieSwitches(), 2);
+  Cluster a = MakeV100Cluster(2);
+  a.node.pcie_domains = 0;
+  EXPECT_EQ(a.node.PcieSwitches(), 1);
+  Cluster b = a;
+  b.node.pcie_bandwidth = 1.0;
+  EXPECT_NE(a.Fingerprint(), b.Fingerprint());
+  b = a;
+  b.node.pcie_latency *= 2.0;
+  EXPECT_NE(a.Fingerprint(), b.Fingerprint());
+  b = a;
+  b.node.pcie_domains = 1;
+  EXPECT_EQ(a.Fingerprint(), b.Fingerprint());
+  // On an NVSwitch node the same PCIe figures reach nothing.
+  Cluster c = MakeA100Cluster(2);
+  Cluster d = c;
+  d.node.pcie_domains = 2;
+  d.node.pcie_bandwidth = 1.0;
+  EXPECT_EQ(d.node.PcieSwitches(), 0);
+  EXPECT_EQ(c.Fingerprint(), d.Fingerprint());
+}
+
 TEST(ClusterFingerprint, CoversEveryCostParameter) {
   const Cluster base = MakeV100Cluster(4);  // has PCIe domains
   std::vector<Cluster> variants(10, base);

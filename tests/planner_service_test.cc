@@ -575,6 +575,34 @@ TEST(MultiTenantService, RequestWithoutClusterNeedsADefaultTenant) {
   EXPECT_GT(service.Plan(std::move(good)).placements.size(), 0u);
 }
 
+TEST(MultiTenantService, RingNodesDifferingOnlyInPcieGetTheirOwnEngines) {
+  // Cross-node traffic of an NVLink ring node crosses its PCIe switch even
+  // at pcie_domains == 0, so the PCIe bandwidth changes every measurement:
+  // planning the slow machine after the fast one on one service must not
+  // reuse the fast machine's engine.
+  topology::Cluster fast = topology::MakeV100Cluster(2);
+  fast.node.pcie_domains = 0;
+  fast.node.pcie_bandwidth = 32.0;
+  topology::Cluster slow = fast;
+  slow.node.pcie_bandwidth = 1.0;
+  const TenantConfig fast_config{fast, {8, 2}, {0}};
+  const TenantConfig slow_config{slow, {8, 2}, {0}};
+
+  PlannerServiceOptions options;
+  options.threads = 1;
+  options.engine = FastOptions();
+  const Engine engine(slow, FastOptions());
+  PlannerService dedicated(engine, options);
+  const std::string expected = CanonicalResultText(
+      dedicated.Plan(slow_config.axes, slow_config.reduction_axes));
+
+  PlannerService shared(options);
+  shared.Plan(RequestFor(fast_config));
+  EXPECT_EQ(CanonicalResultText(shared.Plan(RequestFor(slow_config))),
+            expected);
+  EXPECT_EQ(shared.stats().engines_constructed, 2);
+}
+
 TEST(MultiTenantService, EngineForRegistersAndMemoizes) {
   PlannerServiceOptions options;
   options.engine = FastOptions();

@@ -1,5 +1,6 @@
 // The wire front end (ISSUE 8): the framed protocol round-trips and rejects
-// every corruption as a status (never a crash), the service's abort taxonomy
+// every corruption as a status (never a crash), inline clusters the flow
+// simulator cannot build are rejected at decode, the service's abort taxonomy
 // maps 1:1 onto wire statuses, malformed frames close the connection with an
 // Error frame while malformed payloads inside valid frames keep it alive,
 // and the concurrency oracle holds — bodies served over N concurrent
@@ -305,6 +306,45 @@ TEST(WirePayload, PlanRequestValidationRejectsNonsense) {
   EXPECT_FALSE(DecodePlanRequest(EncodePlanRequest(base) + "x", &decoded,
                                  &error));
   EXPECT_FALSE(error.empty());
+}
+
+TEST(WirePayload, InlineRingClustersThatCannotBeSimulatedAreRejected) {
+  // An NVLink ring node routes cross-node traffic through its PCIe
+  // switches: an uneven domain split leaves GPUs unconnected, and a
+  // zero-bandwidth switch stalls every flow. Both are malformed requests.
+  PlanWireRequest base;
+  base.has_cluster = true;
+  base.cluster = topology::MakeV100Cluster(2);
+  base.axes = {8, 2};
+  base.reduction_axes = {0};
+  PlanWireRequest uneven = base;
+  uneven.cluster.node.pcie_domains = 3;
+  PlanWireRequest no_pcie_bandwidth = base;
+  no_pcie_bandwidth.cluster.node.pcie_domains = 0;
+  no_pcie_bandwidth.cluster.node.pcie_bandwidth = 0.0;
+  for (const PlanWireRequest& request : {uneven, no_pcie_bandwidth}) {
+    PlanWireRequest decoded;
+    std::string error;
+    EXPECT_FALSE(
+        DecodePlanRequest(EncodePlanRequest(request), &decoded, &error));
+    EXPECT_FALSE(error.empty());
+  }
+  // The same figures on an NVSwitch node reach nothing and decode fine.
+  PlanWireRequest nvswitch = no_pcie_bandwidth;
+  nvswitch.cluster.node.transport = topology::IntraNodeTransport::kNvSwitch;
+  nvswitch.cluster.node.pcie_domains = 3;
+  PlanWireRequest decoded;
+  std::string error;
+  EXPECT_TRUE(
+      DecodePlanRequest(EncodePlanRequest(nvswitch), &decoded, &error))
+      << error;
+
+  // Over the wire the request answers INVALID_ARGUMENT, not INTERNAL.
+  ServerFixture fixture;
+  PlannerClient client(fixture.server->port());
+  const PlanWireResponse rejected = client.Plan(uneven);
+  EXPECT_EQ(rejected.status, WireStatus::kInvalidArgument);
+  EXPECT_FALSE(rejected.message.empty());
 }
 
 TEST(WirePayload, PlanResponseAndStatusPayloadsRoundTrip) {
