@@ -1,7 +1,6 @@
 #include "engine/cli.h"
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <future>
 #include <sstream>
@@ -18,24 +17,6 @@
 namespace p2::engine {
 
 namespace {
-
-bool ParseInt(const std::string& s, std::int64_t* out) {
-  const auto [ptr, ec] =
-      std::from_chars(s.data(), s.data() + s.size(), *out);
-  return ec == std::errc() && ptr == s.data() + s.size();
-}
-
-bool ParseList(const std::string& s, std::vector<std::int64_t>* out) {
-  out->clear();
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    std::int64_t v = 0;
-    if (!ParseInt(item, &v)) return false;
-    out->push_back(v);
-  }
-  return !out->empty();
-}
 
 // The best measured program of a finished experiment together with the
 // placement holding it (used by both report paths).
@@ -76,266 +57,159 @@ std::string MaybeFused(const CliOptions& options,
   return text;
 }
 
-}  // namespace
+constexpr std::string_view kUsage =
+    "p2_plan: synthesize parallelism placements and reduction strategies\n"
+    "\n"
+    "usage: p2_plan --system=a100|v100 --nodes=N --axes=A,B[,C] "
+    "--reduce=I[,J] [FLAGS]\n"
+    "       p2_plan --system=a100|v100 --nodes=N --grid [FLAGS]\n"
+    "       p2_plan --topology=SYS:N[,SYS:N...] --grid [FLAGS]\n";
 
-std::string CliUsage() {
-  return
-      "p2_plan: synthesize parallelism placements and reduction strategies\n"
-      "\n"
-      "usage: p2_plan --system=a100|v100 --nodes=N --axes=A,B[,C] "
-      "--reduce=I[,J]\n"
-      "               [--algo=ring|tree] [--payload-mb=N] [--top-k=N]\n"
-      "               [--service-threads=N] [--synth-threads=N] [--fuse]\n"
-      "               [--cache-file=PATH] [--cache-readonly]\n"
-      "               [--cache-max-entries=N] [--cache-ttl-seconds=N]\n"
-      "               [--deadline-ms=N]\n"
-      "               [--max-in-flight=N] [--drain-grace-ms=N]\n"
-      "       p2_plan --system=a100|v100 --nodes=N --grid [...]\n"
-      "       p2_plan --topology=SYS:N[,SYS:N...] --grid [...]\n"
-      "\n"
-      "  --system      GPU system model (Fig. 9 of the paper)\n"
-      "  --nodes       number of nodes\n"
-      "  --topology    one or more system presets as SYS:NODES (e.g.\n"
-      "                a100:4,v100:2; repeatable). One preset is shorthand\n"
-      "                for --system/--nodes; several presets require --grid\n"
-      "                and plan every preset's grid through ONE multi-tenant\n"
-      "                service — clusters with overlapping reduction\n"
-      "                factorizations synthesize shared hierarchies once\n"
-      "                between them (cross-tenant cache hits)\n"
-      "  --axes        parallelism axis sizes (product must equal #GPUs)\n"
-      "  --reduce      reduction axis indices\n"
-      "  --grid        plan the paper's full experiment grid for the system\n"
-      "                instead of one --axes/--reduce config; every config\n"
-      "                is submitted concurrently to one shared planning\n"
-      "                service, so configs with isomorphic hierarchies\n"
-      "                synthesize once between them\n"
-      "  --algo        NCCL algorithm (default ring)\n"
-      "  --payload-mb  per-GPU payload in MB (default: 2^29*nodes floats)\n"
-      "  --top-k       measure only the top-k programs by prediction\n"
-      "  --service-threads  size of the planning service's shared worker\n"
-      "                pool (default 1; results are identical at any count;\n"
-      "                --threads is accepted as a legacy alias)\n"
-      "  --synth-threads  expand the synthesis search frontier with N worker\n"
-      "                threads (default 1; identical output at any count)\n"
-      "  --fuse        fuse consecutive fusible steps before evaluating\n"
-      "  --cache-file  load/save the persistent synthesis cache at PATH:\n"
-      "                known hierarchies skip synthesis across planner runs;\n"
-      "                a corrupt file starts cold with a warning and is\n"
-      "                rewritten atomically on exit (unreadable or\n"
-      "                newer-format-version files are never overwritten)\n"
-      "  --cache-readonly  use the cache file without creating or\n"
-      "                modifying it (requires --cache-file)\n"
-      "  --cache-max-entries  keep at most N synthesis-cache entries,\n"
-      "                evicting least-recently-used first (default:\n"
-      "                unbounded); eviction never changes results, an\n"
-      "                evicted hierarchy is simply re-synthesized\n"
-      "  --cache-ttl-seconds  skip cache-file entries first persisted more\n"
-      "                than N seconds ago when loading (they are pruned from\n"
-      "                the file on the next save; default: never expire).\n"
-      "                Entries from files written before stamps existed have\n"
-      "                unknown age and are never expired\n"
-      "  --deadline-ms  per-request deadline in milliseconds: a config\n"
-      "                still planning when it expires is abandoned\n"
-      "                (reported, not fatal) and its worker slots freed\n"
-      "                (default: no deadline)\n"
-      "  --max-in-flight  admit at most N concurrently planning requests;\n"
-      "                submissions beyond the cap are rejected and reported\n"
-      "                instead of silently queuing (default: unbounded)\n"
-      "  --drain-grace-ms  on shutdown, give still-running requests N ms to\n"
-      "                finish before cancelling them (default: wait for\n"
-      "                them indefinitely)\n";
+/// Appends the comma-separated SYS:NODES presets of one --topology value.
+bool AppendTopologies(const std::string& value,
+                      std::vector<TopologyPreset>* topologies,
+                      std::string* error) {
+  std::stringstream ss(value);
+  std::string entry;
+  while (std::getline(ss, entry, ',')) {
+    const auto colon = entry.find(':');
+    std::int64_t nodes = 0;
+    if (colon == std::string::npos ||
+        !ParseFlagInt(std::string_view(entry).substr(colon + 1), 1,
+                      topology::kMaxNodes, &nodes)) {
+      *error = "entries must be SYS:NODES (e.g. a100:4) with NODES in [1, " +
+               std::to_string(topology::kMaxNodes) + "], got \"" + entry +
+               "\"";
+      return false;
+    }
+    TopologyPreset preset{entry.substr(0, colon), static_cast<int>(nodes)};
+    if (!IsPresetSystem(preset.system)) {
+      *error = "system must be a100 or v100, got \"" + preset.system + "\"";
+      return false;
+    }
+    // A duplicate preset would plan the same grid twice through the same
+    // tenant and report it as two tenants' worth of work.
+    if (std::find(topologies->begin(), topologies->end(), preset) !=
+        topologies->end()) {
+      *error = "lists " + entry + " twice";
+      return false;
+    }
+    topologies->push_back(std::move(preset));
+  }
+  return true;
 }
+
+std::vector<Flag> CliFlags(CliOptions* o) {
+  return {
+      SystemFlag(&o->system),
+      NodesFlag(&o->nodes),
+      {"topology",
+       [o](const std::string& value, std::string* error) {
+         return AppendTopologies(value, &o->topologies, error);
+       },
+       "one or more system presets as SYS:NODES (e.g.\n"
+       "a100:4,v100:2; repeatable). One preset is shorthand\n"
+       "for --system/--nodes; several presets require --grid\n"
+       "and plan every preset's grid through ONE multi-tenant\n"
+       "service — clusters with overlapping reduction\n"
+       "factorizations synthesize shared hierarchies once\n"
+       "between them (cross-tenant cache hits)"},
+      {"axes", &o->axes, "parallelism axis sizes (product must equal #GPUs)",
+       1},
+      {"reduce", &o->reduction_axes, "reduction axis indices", 0},
+      {"grid", &o->grid,
+       "plan the paper's full experiment grid for the system\n"
+       "instead of one --axes/--reduce config; every config\n"
+       "is submitted concurrently to one shared planning\n"
+       "service, so configs with isomorphic hierarchies\n"
+       "synthesize once between them"},
+      {"algo",
+       [o](const std::string& value, std::string* error) {
+         if (value == "ring") {
+           o->algo = core::NcclAlgo::kRing;
+         } else if (value == "tree") {
+           o->algo = core::NcclAlgo::kTree;
+         } else {
+           *error = "must be ring or tree";
+           return false;
+         }
+         return true;
+       },
+       "NCCL algorithm: ring (default) or tree"},
+      {"payload-mb", &o->payload_mb,
+       "per-GPU payload in MB (default: 2^29*nodes floats)", 1},
+      {"top-k", &o->top_k, "measure only the top-k programs by prediction",
+       0},
+      {"service-threads", &o->service_threads,
+       "size of the planning service's shared worker\n"
+       "pool (default 1; results are identical at any count;\n"
+       "--threads is accepted as a legacy alias)",
+       1, kMaxFlagThreads},
+      {"threads", &o->threads, "legacy alias of --service-threads", 1,
+       kMaxFlagThreads},
+      {"synth-threads", &o->synth_threads,
+       "expand the synthesis search frontier with N worker\n"
+       "threads (default 1; identical output at any count)",
+       1, kMaxFlagThreads},
+      {"fuse", &o->fuse, "fuse consecutive fusible steps before evaluating"},
+      {"cache-file", &o->cache_file,
+       "load/save the persistent synthesis cache at PATH:\n"
+       "known hierarchies skip synthesis across planner runs;\n"
+       "a corrupt file starts cold with a warning and is\n"
+       "rewritten atomically on exit (unreadable or\n"
+       "newer-format-version files are never overwritten)"},
+      {"cache-readonly", &o->cache_readonly,
+       "use the cache file without creating or\n"
+       "modifying it (requires --cache-file)"},
+      {"cache-max-entries", &o->cache_max_entries,
+       "keep at most N synthesis-cache entries,\n"
+       "evicting least-recently-used first (default:\n"
+       "unbounded); eviction never changes results, an\n"
+       "evicted hierarchy is simply re-synthesized",
+       1},
+      {"cache-ttl-seconds", &o->cache_ttl_seconds,
+       "skip cache-file entries first persisted more\n"
+       "than N seconds ago when loading (they are pruned from\n"
+       "the file on the next save; default: never expire).\n"
+       "Entries from files written before stamps existed have\n"
+       "unknown age and are never expired",
+       1},
+      {"deadline-ms", &o->deadline_ms,
+       "per-request deadline in milliseconds: a config\n"
+       "still planning when it expires is abandoned\n"
+       "(reported, not fatal) and its worker slots freed\n"
+       "(default: no deadline)",
+       1},
+      {"max-in-flight", &o->max_in_flight,
+       "admit at most N concurrently planning requests;\n"
+       "submissions beyond the cap are rejected and reported\n"
+       "instead of silently queuing (default: unbounded)",
+       1},
+      // 0 is meaningful: cancel whatever is still running the moment the
+      // drain starts.
+      {"drain-grace-ms", &o->drain_grace_ms,
+       "on shutdown, give still-running requests N ms to\n"
+       "finish before cancelling them (default: wait for\n"
+       "them indefinitely)",
+       0},
+  };
+}
+
+}  // namespace
 
 std::optional<CliOptions> ParseCliOptions(
     const std::vector<std::string>& args, std::string* error) {
   CliOptions opts;
-  bool system_or_nodes_given = false;
-  for (const std::string& arg : args) {
-    if (arg == "--help" || arg == "-h") {
-      *error = CliUsage();
-      return std::nullopt;
-    }
-    if (arg.rfind("--", 0) != 0) {
-      *error = "unrecognized argument: " + arg + "\n\n" + CliUsage();
-      return std::nullopt;
-    }
-    const auto eq = arg.find('=');
-    if (eq == std::string::npos) {
-      // Bare boolean flags. Anything unknown is an error — silently ignoring
-      // a mistyped flag would quietly change what gets planned.
-      if (arg == "--fuse") {
-        opts.fuse = true;
-      } else if (arg == "--grid") {
-        opts.grid = true;
-      } else if (arg == "--cache-readonly") {
-        opts.cache_readonly = true;
-      } else {
-        *error = "unrecognized flag: " + arg + "\n\n" + CliUsage();
-        return std::nullopt;
-      }
-      continue;
-    }
-    const std::string key = arg.substr(0, eq);
-    const std::string value = arg.substr(eq + 1);
-    if (key == "--system") {
-      if (value != "a100" && value != "v100") {
-        *error = "--system must be a100 or v100";
-        return std::nullopt;
-      }
-      opts.system = value;
-      system_or_nodes_given = true;
-    } else if (key == "--nodes") {
-      std::int64_t v = 0;
-      if (!ParseInt(value, &v) || v < 1) {
-        *error = "--nodes must be a positive integer";
-        return std::nullopt;
-      }
-      opts.nodes = static_cast<int>(v);
-      system_or_nodes_given = true;
-    } else if (key == "--topology") {
-      // Comma-separated SYS:NODES presets; the flag is also repeatable, so
-      // entries append rather than replace.
-      std::stringstream ss(value);
-      std::string entry;
-      bool any = false;
-      while (std::getline(ss, entry, ',')) {
-        any = true;
-        const auto colon = entry.find(':');
-        TopologyPreset preset;
-        std::int64_t n = 0;
-        if (colon == std::string::npos ||
-            !ParseInt(entry.substr(colon + 1), &n) || n < 1) {
-          *error = "--topology entries must be SYS:NODES (e.g. a100:4), got "
-                   "\"" + entry + "\"";
-          return std::nullopt;
-        }
-        preset.system = entry.substr(0, colon);
-        preset.nodes = static_cast<int>(n);
-        if (preset.system != "a100" && preset.system != "v100") {
-          *error = "--topology system must be a100 or v100, got \"" +
-                   preset.system + "\"";
-          return std::nullopt;
-        }
-        // A duplicate preset would plan the same grid twice through the
-        // same tenant and report it as two tenants' worth of work.
-        for (const TopologyPreset& existing : opts.topologies) {
-          if (existing == preset) {
-            *error = "--topology lists " + entry + " twice";
-            return std::nullopt;
-          }
-        }
-        opts.topologies.push_back(std::move(preset));
-      }
-      if (!any) {
-        *error = "--topology needs at least one SYS:NODES preset";
-        return std::nullopt;
-      }
-    } else if (key == "--axes") {
-      if (!ParseList(value, &opts.axes)) {
-        *error = "--axes must be a comma-separated list of sizes";
-        return std::nullopt;
-      }
-    } else if (key == "--reduce") {
-      std::vector<std::int64_t> raw;
-      if (!ParseList(value, &raw)) {
-        *error = "--reduce must be a comma-separated list of axis indices";
-        return std::nullopt;
-      }
-      opts.reduction_axes.clear();
-      for (std::int64_t v : raw) {
-        opts.reduction_axes.push_back(static_cast<int>(v));
-      }
-    } else if (key == "--algo") {
-      if (value == "ring") {
-        opts.algo = core::NcclAlgo::kRing;
-      } else if (value == "tree") {
-        opts.algo = core::NcclAlgo::kTree;
-      } else {
-        *error = "--algo must be ring or tree";
-        return std::nullopt;
-      }
-    } else if (key == "--payload-mb") {
-      std::int64_t v = 0;
-      if (!ParseInt(value, &v) || v < 1) {
-        *error = "--payload-mb must be a positive integer";
-        return std::nullopt;
-      }
-      opts.payload_mb = static_cast<double>(v);
-    } else if (key == "--top-k") {
-      std::int64_t v = 0;
-      if (!ParseInt(value, &v) || v < 0) {
-        *error = "--top-k must be a non-negative integer";
-        return std::nullopt;
-      }
-      opts.top_k = static_cast<int>(v);
-    } else if (key == "--threads" || key == "--service-threads") {
-      std::int64_t v = 0;
-      // Bounded: an absurd count would die in std::thread creation with an
-      // unhandled std::system_error instead of a usage message.
-      if (!ParseInt(value, &v) || v < 1 || v > 1024) {
-        *error = key + " must be an integer in [1, 1024]";
-        return std::nullopt;
-      }
-      if (key == "--threads") {
-        opts.threads = static_cast<int>(v);
-      } else {
-        opts.service_threads = static_cast<int>(v);
-      }
-    } else if (key == "--synth-threads") {
-      std::int64_t v = 0;
-      if (!ParseInt(value, &v) || v < 1 || v > 1024) {
-        *error = "--synth-threads must be an integer in [1, 1024]";
-        return std::nullopt;
-      }
-      opts.synth_threads = static_cast<int>(v);
-    } else if (key == "--cache-file") {
-      if (value.empty()) {
-        *error = "--cache-file needs a path";
-        return std::nullopt;
-      }
-      opts.cache_file = value;
-    } else if (key == "--cache-max-entries") {
-      std::int64_t v = 0;
-      if (!ParseInt(value, &v) || v < 1) {
-        *error = "--cache-max-entries must be a positive integer";
-        return std::nullopt;
-      }
-      opts.cache_max_entries = v;
-    } else if (key == "--cache-ttl-seconds") {
-      std::int64_t v = 0;
-      if (!ParseInt(value, &v) || v < 1) {
-        *error = "--cache-ttl-seconds must be a positive integer";
-        return std::nullopt;
-      }
-      opts.cache_ttl_seconds = v;
-    } else if (key == "--deadline-ms") {
-      std::int64_t v = 0;
-      if (!ParseInt(value, &v) || v < 1) {
-        *error = "--deadline-ms must be a positive integer";
-        return std::nullopt;
-      }
-      opts.deadline_ms = v;
-    } else if (key == "--max-in-flight") {
-      std::int64_t v = 0;
-      if (!ParseInt(value, &v) || v < 1) {
-        *error = "--max-in-flight must be a positive integer";
-        return std::nullopt;
-      }
-      opts.max_in_flight = v;
-    } else if (key == "--drain-grace-ms") {
-      // 0 is meaningful: cancel whatever is still running the moment the
-      // drain starts.
-      std::int64_t v = 0;
-      if (!ParseInt(value, &v) || v < 0) {
-        *error = "--drain-grace-ms must be a non-negative integer";
-        return std::nullopt;
-      }
-      opts.drain_grace_ms = v;
-    } else {
-      *error = "unrecognized flag: " + key + "\n\n" + CliUsage();
-      return std::nullopt;
-    }
+  // --system and --nodes start unset, so that naming them beside --topology
+  // is caught; their defaults are filled in after parsing.
+  opts.system.clear();
+  opts.nodes = 0;
+  if (!ParseFlags(args, CliFlags(&opts), kUsage, nullptr, error)) {
+    return std::nullopt;
   }
+  const bool system_or_nodes_given = !opts.system.empty() || opts.nodes != 0;
+  if (opts.system.empty()) opts.system = CliOptions().system;
+  if (opts.nodes == 0) opts.nodes = CliOptions().nodes;
   if (!opts.topologies.empty() && system_or_nodes_given) {
     *error = "--topology already names the systems; drop --system/--nodes";
     return std::nullopt;
@@ -367,21 +241,15 @@ std::optional<CliOptions> ParseCliOptions(
     }
   } else {
     if (opts.axes.empty()) {
-      *error = "missing --axes\n\n" + CliUsage();
+      *error = "missing --axes (see --help)";
       return std::nullopt;
     }
-    for (std::int64_t a : opts.axes) {
-      if (a < 1) {
-        *error = "--axes entries must be positive";
-        return std::nullopt;
-      }
-    }
     if (opts.reduction_axes.empty()) {
-      *error = "missing --reduce\n\n" + CliUsage();
+      *error = "missing --reduce (see --help)";
       return std::nullopt;
     }
     for (int a : opts.reduction_axes) {
-      if (a < 0 || a >= static_cast<int>(opts.axes.size())) {
+      if (a >= static_cast<int>(opts.axes.size())) {
         *error = "--reduce index out of range";
         return std::nullopt;
       }
@@ -394,10 +262,29 @@ std::optional<CliOptions> ParseCliOptions(
   return opts;
 }
 
+bool IsPresetSystem(std::string_view system) {
+  return system == "a100" || system == "v100";
+}
+
+Flag SystemFlag(std::string* system) {
+  return {"system",
+          [system](const std::string& value, std::string* error) {
+            if (!IsPresetSystem(value)) {
+              *error = "must be a100 or v100, got \"" + value + "\"";
+              return false;
+            }
+            *system = value;
+            return true;
+          },
+          "GPU system model (Fig. 9 of the paper): a100 or v100"};
+}
+
+Flag NodesFlag(int* nodes) {
+  return {"nodes", nodes, "number of nodes", 1, topology::kMaxNodes};
+}
+
 topology::Cluster ClusterFromOptions(const CliOptions& options) {
-  return options.system == "a100"
-             ? topology::MakeA100Cluster(options.nodes)
-             : topology::MakeV100Cluster(options.nodes);
+  return ClusterFromPreset(TopologyPreset{options.system, options.nodes});
 }
 
 topology::Cluster ClusterFromPreset(const TopologyPreset& preset) {

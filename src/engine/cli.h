@@ -1,13 +1,6 @@
 // Argument parsing and driver for the p2_plan command-line tool, kept in
-// the library so it is unit-testable.
-//
-//   p2_plan --system=a100 --nodes=4 --axes=4,16 --reduce=0
-//           [--algo=ring|tree] [--payload-mb=N] [--top-k=N]
-//           [--service-threads=N] [--synth-threads=N] [--fuse]
-//           [--cache-file=PATH] [--cache-readonly] [--cache-max-entries=N]
-//           [--deadline-ms=N] [--max-in-flight=N] [--drain-grace-ms=N]
-//   p2_plan --system=a100 --nodes=4 --grid [...]
-//   p2_plan --topology=a100:4,v100:2 --grid [...]
+// the library so it is unit-testable. `p2_plan --help` prints the flags,
+// rendered from the table in cli.cc (common/flags.h); a bad flag exits 2.
 //
 // All planning goes through one PlannerService (engine/service.h) per
 // invocation: --grid submits every experiment-grid config concurrently to
@@ -24,8 +17,10 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/flags.h"
 #include "core/collective.h"
 #include "topology/cluster.h"
 
@@ -50,7 +45,7 @@ struct CliOptions {
   std::vector<std::int64_t> axes;
   std::vector<int> reduction_axes;
   core::NcclAlgo algo = core::NcclAlgo::kRing;
-  double payload_mb = 0.0;  // 0 => the paper's default
+  std::int64_t payload_mb = 0;  // 0 => the paper's default
   int top_k = 0;            // 0 => measure everything
   int threads = 1;          // legacy alias for service_threads
   int service_threads = 0;  // shared service pool; 0 => use `threads`
@@ -76,8 +71,13 @@ struct CliOptions {
 std::optional<CliOptions> ParseCliOptions(
     const std::vector<std::string>& args, std::string* error);
 
-/// The --help text.
-std::string CliUsage();
+/// True for the names of the system presets: "a100" and "v100".
+bool IsPresetSystem(std::string_view system);
+
+/// The `--system` and `--nodes` rows of every tool that names a preset
+/// cluster (p2_plan, p2_client, p2_shard).
+Flag SystemFlag(std::string* system);
+Flag NodesFlag(int* nodes);
 
 /// Builds the cluster the options describe (the --system/--nodes form; for
 /// --topology presets see ClusterFromPreset).

@@ -5,8 +5,11 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <stdexcept>
+#include <thread>
 
 namespace p2::server {
 
@@ -96,6 +99,20 @@ bool PlannerClient::Shutdown() {
   Frame reply;
   return RoundTrip(Frame{FrameType::kShutdownRequest, {}}, &reply) &&
          reply.type == FrameType::kShutdownResponse;
+}
+
+int PortFromFile(const std::string& path) {
+  for (int attempt = 0; attempt < 300; ++attempt) {
+    std::FILE* f = std::fopen(path.c_str(), "r");
+    if (f != nullptr) {
+      int port = 0;
+      const int got = std::fscanf(f, "%d", &port);
+      std::fclose(f);
+      if (got == 1 && port > 0) return port;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  return -1;
 }
 
 }  // namespace p2::server

@@ -60,6 +60,10 @@ class PlannerClient {
   std::string buffer_;  ///< bytes received beyond the last decoded frame
 };
 
+/// Polls for a server's --port-file (its readiness signal) for about 30 s;
+/// returns the port it names, or -1 when none appeared.
+int PortFromFile(const std::string& path);
+
 }  // namespace p2::server
 
 #endif  // P2_SERVER_PLANNER_CLIENT_H_

@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "common/byte_codec.h"
+#include "engine/cli.h"
 
 namespace p2::server {
 
@@ -22,7 +23,6 @@ bool Read(ByteReader* r, double* v) { return r->ReadF64(v); }
 // the wire. Generous for every real request, tight enough that a forged
 // payload cannot demand pathological work.
 constexpr std::size_t kMaxAxes = 64;
-constexpr int kMaxNodes = 1 << 16;
 constexpr int kMaxGpusPerNode = 1 << 12;
 
 void EncodeCluster(std::string* out, const topology::Cluster& cluster) {
@@ -91,7 +91,7 @@ bool DecodeCluster(ByteReader* r, topology::Cluster* cluster,
   if (node.gpus_per_node < 1 || node.gpus_per_node > kMaxGpusPerNode) {
     return Fail(error, "gpus_per_node out of range");
   }
-  if (cluster->num_nodes < 1 || cluster->num_nodes > kMaxNodes) {
+  if (cluster->num_nodes < 1 || cluster->num_nodes > topology::kMaxNodes) {
     return Fail(error, "num_nodes out of range");
   }
   if (node.pcie_domains < 0 || node.pcie_domains > node.gpus_per_node) {
@@ -314,10 +314,11 @@ bool DecodePlanRequest(std::string_view payload, PlanWireRequest* request,
         !r.ReadI32(&request->preset_nodes)) {
       return Fail(error, "truncated topology preset");
     }
-    if (request->preset_system != "a100" && request->preset_system != "v100") {
+    if (!engine::IsPresetSystem(request->preset_system)) {
       return Fail(error, "unknown topology preset (want a100 or v100)");
     }
-    if (request->preset_nodes < 1 || request->preset_nodes > kMaxNodes) {
+    if (request->preset_nodes < 1 ||
+        request->preset_nodes > topology::kMaxNodes) {
       return Fail(error, "preset node count out of range");
     }
   }

@@ -51,6 +51,10 @@ struct GpuNodeModel {
   int PcieSwitches() const;
 };
 
+/// The largest node count a planner input may name: the tools' `--nodes`
+/// and `--topology` flags, and the wire decoder's presets and clusters.
+inline constexpr int kMaxNodes = 1 << 16;
+
 /// A homogeneous cluster: `num_nodes` copies of `node` on a data-center
 /// fabric. With `racks == 1` the fabric is non-blocking (per-path capacity =
 /// NIC capacity; the NIC is the bottleneck, as in the paper's systems).

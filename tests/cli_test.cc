@@ -89,6 +89,23 @@ TEST(Cli, RejectsBadValues) {
                    .has_value());
 }
 
+TEST(Cli, RejectsValuesThatWouldNarrowToInt) {
+  // Each of these once parsed as 2^32 + x read as x: a different, valid
+  // plan (reduce axis 0, 2 nodes, an a100:1 grid, top-1).
+  const std::pair<std::vector<std::string>, std::string> cases[] = {
+      {{"--nodes=2", "--axes=8,4", "--reduce=4294967296"}, "--reduce"},
+      {{"--nodes=4294967298", "--axes=8,4", "--reduce=0"}, "--nodes"},
+      {{"--topology=a100:4294967297", "--grid"}, "--topology"},
+      {{"--nodes=2", "--axes=8,4", "--reduce=0", "--top-k=4294967297"},
+       "--top-k"},
+  };
+  for (const auto& [args, flag] : cases) {
+    std::string error;
+    EXPECT_FALSE(ParseCliOptions(args, &error).has_value()) << flag;
+    EXPECT_EQ(error.rfind(flag + " ", 0), 0u) << error;
+  }
+}
+
 TEST(Cli, ParsesThreads) {
   std::string error;
   const auto opts =

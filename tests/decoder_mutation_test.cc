@@ -1,7 +1,8 @@
 // Seeded mutation tests over every byte decoder: the P2SC cache file and
 // entry decoders, the P2RF frame decoder and each of its payload decoders,
-// and the experiment grid's shard-block parser. The seed inputs come from
-// the encoders, built here (no corpus is committed), and fixed RNG seeds
+// the experiment grid's shard-block parser, and the command-line parser.
+// The seed inputs come from the encoders (for command lines, the CI smoke
+// argv), built here (no corpus is committed), and fixed RNG seeds
 // make every run mutate the same way. Mutants are bit flips, byte
 // overwrites, truncations, insertions, duplicated slices and extreme
 // u32/u64 values; half of the mutated P2SC images and P2RF frames get their
@@ -10,20 +11,27 @@
 //   - no decoder crashes (the sanitizer job turns an out-of-bounds read or
 //     undefined behaviour into a failure);
 //   - an input a decoder accepts re-encodes to bytes that decode again and
-//     re-encode identically.
+//     re-encode identically. A command line decodes to stored options
+//     instead: every integer of an accepted mutant must be stored as the
+//     value of its decimal text, inside its flag's range.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <iterator>
+#include <optional>
 #include <random>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/flags.h"
 #include "engine/cache_store.h"
+#include "engine/cli.h"
 #include "engine/experiment_grid.h"
 #include "server/wire_protocol.h"
 #include "test_hex.h"
@@ -461,6 +469,189 @@ TEST(DecoderMutation, ShardBlocks) {
   }
   RecordProperty("accepted_texts", accepted);
   EXPECT_GT(accepted, 0);
+}
+
+// ---- command lines --------------------------------------------------------
+
+/// A command line as one byte string, one argument per line.
+std::string JoinArgs(const std::vector<std::string>& args) {
+  std::string line;
+  for (const std::string& arg : args) line += arg + '\n';
+  return line;
+}
+
+std::vector<std::string> SplitArgs(const std::string& line) {
+  std::vector<std::string> args;
+  std::size_t begin = 0;
+  for (std::size_t end; (end = line.find('\n', begin)) != std::string::npos;
+       begin = end + 1) {
+    args.push_back(line.substr(begin, end - begin));
+  }
+  if (begin < line.size()) args.push_back(line.substr(begin));
+  return args;
+}
+
+/// The value after the last `--name=` in `args`: the one a parser keeps.
+std::optional<std::string> LastValue(const std::vector<std::string>& args,
+                                     const std::string& name) {
+  std::optional<std::string> value;
+  for (const std::string& arg : args) {
+    if (arg.starts_with(name + "=")) value = arg.substr(name.size() + 1);
+  }
+  return value;
+}
+
+std::vector<std::string> SplitList(const std::string& text) {
+  std::vector<std::string> items;
+  std::size_t begin = 0;
+  for (std::size_t end; (end = text.find(',', begin)) != std::string::npos;
+       begin = end + 1) {
+    items.push_back(text.substr(begin, end - begin));
+  }
+  items.push_back(text.substr(begin));
+  return items;
+}
+
+/// Expects `stored` to be the value of the decimal `text`, in [min, max].
+/// The reference conversion is strtoll, not the parser under test.
+void ExpectStoredAsTyped(std::int64_t stored, const std::string& text,
+                         std::int64_t min, std::int64_t max,
+                         const std::string& line) {
+  const bool decimal =
+      !text.empty() && text != "-" &&
+      text.find_first_not_of("0123456789", text[0] == '-' ? 1 : 0) ==
+          std::string::npos;
+  ASSERT_TRUE(decimal) << "accepted \"" << text << "\" in " << test::Hex(line);
+  errno = 0;
+  const long long value = std::strtoll(text.c_str(), nullptr, 10);
+  ASSERT_NE(errno, ERANGE) << text << " in " << test::Hex(line);
+  EXPECT_EQ(stored, value) << text << " in " << test::Hex(line);
+  EXPECT_GE(stored, min) << text;
+  EXPECT_LE(stored, max) << text;
+}
+
+/// Checks an integer flag, a list or a scalar, against its last value.
+template <typename T>
+void ExpectFlagAsTyped(const std::vector<std::string>& args,
+                       const std::string& name, const std::vector<T>& stored,
+                       std::int64_t min, std::int64_t max,
+                       const std::string& line) {
+  const std::optional<std::string> text = LastValue(args, name);
+  if (!text.has_value()) return;
+  const std::vector<std::string> items = SplitList(*text);
+  ASSERT_EQ(items.size(), stored.size()) << name << " in " << test::Hex(line);
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    ExpectStoredAsTyped(stored[i], items[i], min, max, line);
+  }
+}
+
+TEST(DecoderMutation, CommandLines) {
+  // The CI smoke command lines of p2_plan, --topology included, and the
+  // same flags at their upper bounds, where one mutated digit overflows.
+  const std::string cli_seeds[] = {
+      JoinArgs({"--axes=8,4", "--reduce=0", "--nodes=2", "--payload-mb=100",
+                "--top-k=3", "--cache-file=/tmp/p2_synth_cache.bin"}),
+      JoinArgs({"--grid", "--topology=a100:1,v100:2", "--payload-mb=100",
+                "--top-k=1", "--service-threads=4"}),
+      JoinArgs({"--axes=9223372036854775807,1", "--reduce=2147483647",
+                "--nodes=65536", "--payload-mb=9223372036854775807",
+                "--top-k=2147483647", "--service-threads=1024"}),
+      JoinArgs({"--grid", "--topology=a100:65536,v100:65536"}),
+  };
+  constexpr std::int64_t kInt64Max = INT64_MAX;
+  constexpr std::int64_t kIntMax = INT32_MAX;
+  Mutator mutator(20261021);
+  int accepted_cli = 0;
+  for (int i = 0; i < kIterations && !HasFailure(); ++i) {
+    const std::string line = mutator.Mutate(
+        cli_seeds[static_cast<std::size_t>(i) % std::size(cli_seeds)]);
+    const std::vector<std::string> args = SplitArgs(line);
+    std::string error;
+    const std::optional<engine::CliOptions> opts =
+        engine::ParseCliOptions(args, &error);
+    if (!opts.has_value()) continue;
+    ++accepted_cli;
+    if (opts->topologies.empty()) {
+      ExpectFlagAsTyped<int>(args, "--nodes", {opts->nodes}, 1,
+                             topology::kMaxNodes, line);
+    }
+    ExpectFlagAsTyped(args, "--axes", opts->axes, 1, kInt64Max, line);
+    ExpectFlagAsTyped(args, "--reduce", opts->reduction_axes, 0, kIntMax,
+                      line);
+    ExpectFlagAsTyped<std::int64_t>(args, "--payload-mb", {opts->payload_mb},
+                                    1, kInt64Max, line);
+    ExpectFlagAsTyped<int>(args, "--top-k", {opts->top_k}, 0, kIntMax, line);
+    ExpectFlagAsTyped<int>(args, "--service-threads", {opts->service_threads},
+                           1, 1024, line);
+    // --topology presets append across flags, in order; like getline, the
+    // preset parser reads no entry after a trailing comma.
+    std::vector<std::string> presets;
+    for (const std::string& arg : args) {
+      if (!arg.starts_with("--topology=")) continue;
+      std::vector<std::string> entries = SplitList(arg.substr(11));
+      if (entries.size() > 1 && entries.back().empty()) entries.pop_back();
+      for (const std::string& entry : entries) {
+        presets.push_back(entry.substr(entry.find(':') + 1));
+      }
+    }
+    ASSERT_EQ(presets.size(), opts->topologies.size()) << test::Hex(line);
+    for (std::size_t p = 0; p < presets.size(); ++p) {
+      ExpectStoredAsTyped(opts->topologies[p].nodes, presets[p], 1,
+                          topology::kMaxNodes, line);
+    }
+  }
+  RecordProperty("accepted_cli", accepted_cli);
+  EXPECT_GT(accepted_cli, 0);
+
+  // A table with one row of every kind, through ParseFlags directly.
+  bool on = false;
+  int small = 0;
+  std::int64_t big = 0;
+  std::string path;
+  std::vector<int> ints;
+  std::vector<std::int64_t> longs;
+  const std::vector<Flag> table = {
+      {"on", &on, ""},
+      {"small", &small, "", -5},
+      {"big", &big, "", 0},
+      {"path", &path, ""},
+      {"ints", &ints, "", 0, 100},
+      {"longs", &longs, "", 1},
+      {"mode",
+       [](const std::string& value, std::string* error) {
+         *error = "must be a";
+         return value == "a";
+       },
+       ""},
+  };
+  const std::string table_seed =
+      JoinArgs({"--on", "--small=2147483647", "--big=9223372036854775807",
+                "--path=/tmp/x", "--ints=0,7,100", "--longs=1,2", "--mode=a",
+                "file.txt"});
+  int accepted_table = 0;
+  for (int i = 0; i < kIterations && !HasFailure(); ++i) {
+    const std::string line = mutator.Mutate(table_seed);
+    const std::vector<std::string> args = SplitArgs(line);
+    small = 0;
+    big = 0;
+    ints.clear();
+    longs.clear();
+    std::vector<std::string> positional;
+    std::string error;
+    // Every other mutant allows no positional argument.
+    if (!ParseFlags(args, table, "", i % 2 == 0 ? &positional : nullptr,
+                    &error)) {
+      EXPECT_FALSE(error.empty()) << test::Hex(line);
+      continue;
+    }
+    ++accepted_table;
+    ExpectFlagAsTyped<int>(args, "--small", {small}, -5, kIntMax, line);
+    ExpectFlagAsTyped<std::int64_t>(args, "--big", {big}, 0, kInt64Max, line);
+    ExpectFlagAsTyped(args, "--ints", ints, 0, 100, line);
+    ExpectFlagAsTyped(args, "--longs", longs, 1, kInt64Max, line);
+  }
+  RecordProperty("accepted_table", accepted_table);
+  EXPECT_GT(accepted_table, 0);
 }
 
 }  // namespace

@@ -1,11 +1,5 @@
 // p2_client: loadgen + end-to-end determinism oracle for p2_server.
-//
-//   p2_client --port=N | --port-file=PATH
-//             [--system=a100|v100] [--nodes=N]
-//             [--grid | --axes=4,16 --reduce=0]
-//             [--concurrency=N] [--check-identical]
-//             [--deadline-storm=K] [--top-k=N] [--max-programs=N]
-//             [--stats] [--shutdown]
+// `p2_client --help` lists the flags; a bad flag exits 2.
 //
 // Replays the experiment grid (or one config) over N concurrent
 // connections. With --check-identical it first computes every config's
@@ -22,12 +16,12 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/flags.h"
 #include "engine/cli.h"
 #include "engine/experiment_grid.h"
 #include "engine/report.h"
@@ -35,43 +29,6 @@
 #include "server/planner_client.h"
 
 namespace {
-
-bool ParseInt(const std::string& value, long long* out) {
-  if (value.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtoll(value.c_str(), &end, 10);
-  return end != nullptr && *end == '\0';
-}
-
-bool ParseIntList(const std::string& value, std::vector<long long>* out) {
-  std::string token;
-  for (std::size_t i = 0; i <= value.size(); ++i) {
-    if (i == value.size() || value[i] == ',') {
-      long long n = 0;
-      if (!ParseInt(token, &n)) return false;
-      out->push_back(n);
-      token.clear();
-    } else {
-      token.push_back(value[i]);
-    }
-  }
-  return !out->empty();
-}
-
-/// Polls for the server's --port-file (the readiness signal) for ~30 s.
-int PortFromFile(const std::string& path) {
-  for (int attempt = 0; attempt < 300; ++attempt) {
-    std::FILE* f = std::fopen(path.c_str(), "r");
-    if (f != nullptr) {
-      int port = 0;
-      const int got = std::fscanf(f, "%d", &port);
-      std::fclose(f);
-      if (got == 1 && port > 0) return port;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  }
-  return -1;
-}
 
 struct Tally {
   std::mutex mu;
@@ -103,67 +60,57 @@ int main(int argc, char** argv) {
   std::string system = "a100";
   int nodes = 2;
   bool grid = false;
-  std::vector<long long> axes;
-  std::vector<long long> reduce;
+  std::vector<std::int64_t> axes;
+  std::vector<int> reduce;
   int concurrency = 1;
   bool check_identical = false;
-  long long deadline_storm = 0;
-  long long top_k = -1;
-  long long max_programs = 0;
+  std::int64_t deadline_storm = 0;
+  int top_k = -1;
+  std::int64_t max_programs = 0;
   bool want_stats = false;
   bool want_shutdown = false;
-
-  const std::vector<std::string> args(argv + 1, argv + argc);
-  for (const std::string& arg : args) {
-    const auto eq = arg.find('=');
-    const std::string key = arg.substr(0, eq);
-    const std::string value =
-        eq == std::string::npos ? std::string() : arg.substr(eq + 1);
-    long long n = 0;
-    if (key == "--port" && ParseInt(value, &n)) {
-      port = static_cast<int>(n);
-    } else if (key == "--port-file") {
-      port_file = value;
-    } else if (key == "--system") {
-      system = value;
-    } else if (key == "--nodes" && ParseInt(value, &n)) {
-      nodes = static_cast<int>(n);
-    } else if (key == "--grid") {
-      grid = true;
-    } else if (key == "--axes" && ParseIntList(value, &axes)) {
-    } else if (key == "--reduce" && ParseIntList(value, &reduce)) {
-    } else if (key == "--concurrency" && ParseInt(value, &n)) {
-      concurrency = static_cast<int>(n);
-    } else if (key == "--check-identical") {
-      check_identical = true;
-    } else if (key == "--deadline-storm" && ParseInt(value, &n)) {
-      deadline_storm = n;
-    } else if (key == "--top-k" && ParseInt(value, &n)) {
-      top_k = n;
-    } else if (key == "--max-programs" && ParseInt(value, &n)) {
-      max_programs = n;
-    } else if (key == "--stats") {
-      want_stats = true;
-    } else if (key == "--shutdown") {
-      want_shutdown = true;
-    } else {
-      std::fprintf(stderr, "unrecognized flag: %s\n", arg.c_str());
-      return 2;
-    }
+  const std::vector<p2::Flag> flags = {
+      {"port", &port, "the server's TCP port on 127.0.0.1", 1, 65535},
+      {"port-file", &port_file, "poll PATH (~30 s) for the server's port"},
+      p2::engine::SystemFlag(&system),
+      p2::engine::NodesFlag(&nodes),
+      {"grid", &grid, "replay the system's whole experiment grid"},
+      {"axes", &axes, "plan one config with these axis sizes", 1},
+      {"reduce", &reduce, "the config's reduction axis indices", 0},
+      {"concurrency", &concurrency, "replay over N connections (default 1)",
+       1, p2::kMaxFlagThreads},
+      {"check-identical", &check_identical,
+       "require every OK body to equal a serial reference"},
+      {"deadline-storm", &deadline_storm,
+       "give every Kth request a 1 ms deadline (0: none)", 0},
+      // Unlike p2_plan's --top-k=0, measure_top_k=0 is a real guided mode.
+      {"top-k", &top_k,
+       "measure the top-k programs; -1 (default): server's", -1},
+      {"max-programs", &max_programs,
+       "cap each hierarchy's programs; 0 (default): server's", 0},
+      {"stats", &want_stats, "print the server's stats JSON"},
+      {"shutdown", &want_shutdown, "drain and stop the server"},
+  };
+  std::string error;
+  if (!p2::ParseFlags({argv + 1, argv + argc}, flags,
+                      "p2_client: loadgen + determinism oracle for p2_server\n"
+                      "\n"
+                      "usage: p2_client --port=N|--port-file=PATH "
+                      "[--grid|--axes=A,B --reduce=I] [FLAGS]\n",
+                      nullptr, &error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 2;
   }
-  if (port < 0 && !port_file.empty()) port = PortFromFile(port_file);
+  if (port < 0 && !port_file.empty()) {
+    port = p2::server::PortFromFile(port_file);
+  }
   if (port <= 0) {
     std::fprintf(stderr, "need --port=N or a readable --port-file\n");
     return 2;
   }
-  if (system != "a100" && system != "v100") {
-    std::fprintf(stderr, "--system must be a100 or v100\n");
-    return 2;
-  }
-  if (concurrency < 1) concurrency = 1;
 
-  const p2::engine::TopologyPreset preset{system, nodes};
-  const p2::topology::Cluster cluster = p2::engine::ClusterFromPreset(preset);
+  const p2::topology::Cluster cluster =
+      p2::engine::ClusterFromPreset(p2::engine::TopologyPreset{system, nodes});
   std::vector<p2::engine::ExperimentConfig> configs;
   if (grid) {
     configs = p2::engine::FullGrid(cluster);
@@ -174,11 +121,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   } else {
-    p2::engine::ExperimentConfig config;
-    config.axes.assign(axes.begin(), axes.end());
-    for (long long a : reduce) config.reduction_axes.push_back(
-        static_cast<int>(a));
-    configs.push_back(std::move(config));
+    configs.push_back(p2::engine::ExperimentConfig{axes, reduce});
   }
 
   // The serial reference: same requests, one in-process service, one
@@ -191,7 +134,7 @@ int main(int argc, char** argv) {
       p2::engine::PlanRequest request;
       request.axes = configs[i].axes;
       request.reduction_axes = configs[i].reduction_axes;
-      request.measure_top_k = static_cast<int>(top_k);
+      request.measure_top_k = top_k;
       request.max_programs = max_programs;
       request.cluster = cluster;
       expected[i] =
@@ -214,7 +157,7 @@ int main(int argc, char** argv) {
           request.preset_nodes = nodes;
           request.axes = configs[i].axes;
           request.reduction_axes = configs[i].reduction_axes;
-          request.measure_top_k = static_cast<int>(top_k);
+          request.measure_top_k = top_k;
           request.max_programs = max_programs;
           const bool stormed =
               deadline_storm > 0 &&

@@ -1,4 +1,5 @@
-// p2_plan: command-line front end of P2. See engine/cli.h for the flags.
+// p2_plan: command-line front end of P2 (engine/cli.h). `p2_plan --help`
+// lists the flags; a bad flag exits 2.
 #include <cstdio>
 #include <string>
 #include <vector>

@@ -1,9 +1,5 @@
 // p2_server: the planning service behind a TCP port (server/planner_server.h).
-//
-//   p2_server [--port=N] [--port-file=PATH] [--service-threads=N]
-//             [--cache-file=PATH] [--cache-max-entries=N]
-//             [--cache-ttl-seconds=N] [--max-in-flight=N]
-//             [--drain-grace-ms=N] [--cache-server] [--grant-ttl-ms=N]
+// `p2_server --help` lists the flags; a bad flag exits 2.
 //
 // Binds the loopback interface only. --port=0 (the default) picks an
 // ephemeral port; the bound port is printed to stdout and, with
@@ -19,84 +15,62 @@
 // key (default 10000).
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/flags.h"
 #include "engine/service.h"
 #include "server/planner_server.h"
 
-namespace {
-
-bool ParseInt(const std::string& value, long long* out) {
-  if (value.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtoll(value.c_str(), &end, 10);
-  return end != nullptr && *end == '\0';
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  int port = 0;
-  std::string port_file;
-  bool cache_server = false;
-  long long grant_ttl_ms = -1;
   p2::engine::PlannerServiceOptions service_options;
   service_options.threads = 4;
-  std::optional<std::chrono::milliseconds> drain_grace;
-
-  const std::vector<std::string> args(argv + 1, argv + argc);
-  for (const std::string& arg : args) {
-    const auto eq = arg.find('=');
-    const std::string key = arg.substr(0, eq);
-    const std::string value =
-        eq == std::string::npos ? std::string() : arg.substr(eq + 1);
-    long long n = 0;
-    if (key == "--port" && ParseInt(value, &n)) {
-      port = static_cast<int>(n);
-    } else if (key == "--port-file") {
-      port_file = value;
-    } else if (key == "--service-threads" && ParseInt(value, &n)) {
-      service_options.threads = static_cast<int>(n);
-    } else if (key == "--cache-file") {
-      service_options.cache_file = value;
-    } else if (key == "--cache-max-entries" && ParseInt(value, &n)) {
-      service_options.cache_max_entries = n;
-    } else if (key == "--cache-ttl-seconds" && ParseInt(value, &n)) {
-      service_options.cache_ttl_seconds = n;
-    } else if (key == "--cache-server") {
-      cache_server = true;
-    } else if (key == "--grant-ttl-ms" && ParseInt(value, &n)) {
-      if (n > 0) grant_ttl_ms = n;
-    } else if (key == "--max-in-flight" && ParseInt(value, &n)) {
-      service_options.max_in_flight = n;
-    } else if (key == "--drain-grace-ms" && ParseInt(value, &n)) {
-      if (n >= 0) drain_grace = std::chrono::milliseconds(n);
-    } else {
-      std::fprintf(stderr, "unrecognized flag: %s\n", arg.c_str());
-      return 2;
-    }
+  p2::server::PlannerServerOptions server_options;
+  std::string port_file;
+  std::int64_t drain_grace_ms = -1;
+  std::int64_t grant_ttl_ms = server_options.grant_ttl.count();
+  const std::vector<p2::Flag> flags = {
+      {"port", &server_options.port,
+       "TCP port on 127.0.0.1; 0 (the default) picks one", 0, 65535},
+      {"port-file", &port_file, "write the bound port to PATH once accepting"},
+      {"service-threads", &service_options.threads,
+       "size of the service's worker pool (default 4)", 1, p2::kMaxFlagThreads},
+      {"cache-file", &service_options.cache_file,
+       "load/save the persistent synthesis cache at PATH"},
+      {"cache-max-entries", &service_options.cache_max_entries,
+       "keep at most N synthesis-cache entries", 1},
+      {"cache-ttl-seconds", &service_options.cache_ttl_seconds,
+       "skip cache-file entries older than N seconds", 1},
+      {"max-in-flight", &service_options.max_in_flight,
+       "admit at most N concurrently planning requests", 1},
+      {"drain-grace-ms", &drain_grace_ms,
+       "on shutdown, cancel requests still running after N ms", 0},
+      {"cache-server", &server_options.cache_server,
+       "also serve the synthesis-cache plane to p2_shard"},
+      {"grant-ttl-ms", &grant_ttl_ms,
+       "a dead worker's ownership grant expires after N ms", 1},
+  };
+  std::string error;
+  if (!p2::ParseFlags({argv + 1, argv + argc}, flags,
+                      "p2_server: the planning service behind a TCP port\n"
+                      "\n"
+                      "usage: p2_server [FLAGS]\n",
+                      nullptr, &error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 2;
   }
-  service_options.drain_grace = drain_grace;
+  if (drain_grace_ms >= 0) {
+    service_options.drain_grace = std::chrono::milliseconds(drain_grace_ms);
+    server_options.drain_grace = service_options.drain_grace;
+  }
+  server_options.grant_ttl = std::chrono::milliseconds(grant_ttl_ms);
 
   p2::engine::PlannerService service(service_options);
-  if (service.cache_load_status() != p2::engine::CacheLoadStatus::kOk &&
-      service.cache_load_status() !=
-          p2::engine::CacheLoadStatus::kNotConfigured &&
-      service.cache_load_status() != p2::engine::CacheLoadStatus::kNoFile) {
+  if (p2::engine::IsCorrupt(service.cache_load_status())) {
     std::fprintf(stderr, "warning: cache file ignored: %s\n",
                  service.cache_load_message().c_str());
   }
 
-  p2::server::PlannerServerOptions server_options;
-  server_options.port = port;
-  server_options.drain_grace = drain_grace;
-  server_options.cache_server = cache_server;
-  if (grant_ttl_ms > 0) {
-    server_options.grant_ttl = std::chrono::milliseconds(grant_ttl_ms);
-  }
   try {
     p2::server::PlannerServer server(service, server_options);
     std::printf("p2_server listening on 127.0.0.1:%d\n", server.port());

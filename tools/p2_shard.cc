@@ -1,73 +1,44 @@
 // p2_shard: distributed experiment-grid worker + merger.
+// `p2_shard --help` lists the flags; a bad flag exits 2.
 //
-// Worker mode — run shard I of N of a cluster's experiment grid:
-//
-//   p2_shard --shard-index=I --num-shards=N
-//            [--system=a100|v100] [--nodes=N] [--service-threads=N]
-//            [--cache-port=P | --cache-port-file=PATH]
-//            [--out=PATH]
-//
-// The worker owns every grid config whose index ≡ I (mod N), plans them
-// through its own in-process PlannerService, and writes its configs as
-// shard blocks (engine/experiment_grid.h) to --out (default stdout). With
-// --cache-port[-file] the service's synthesis cache consults the cache
-// plane of a `p2_server --cache-server` before synthesizing and publishes
-// completions back, so N workers collectively synthesize each signature
-// once; without it (or when the plane is unreachable) the worker degrades
-// to local-only synthesis and still produces identical bytes. The last
-// stdout line is the greppable footer the CI smoke asserts on:
+// Worker mode (--shard-index=I --num-shards=N) owns every grid config whose
+// index ≡ I (mod N), plans them through its own in-process PlannerService,
+// and writes its configs as shard blocks (engine/experiment_grid.h) to --out
+// (default stdout). With --cache-port[-file] the service's synthesis cache
+// consults the cache plane of a `p2_server --cache-server` before
+// synthesizing and publishes completions back, so N workers collectively
+// synthesize each signature once; without it (or when the plane is
+// unreachable) the worker degrades to local-only synthesis and still
+// produces identical bytes. The last stdout line is the greppable footer the
+// CI smoke asserts on:
 //
 //   p2_shard[I/N]: X configs, remote_hits=R remote_errors=E synthesized=M
 //
 // (synthesized = the worker's cache misses, i.e. signatures it ran the
 // synthesizer for.)
 //
-// Merge mode — reassemble shard outputs into the serial grid order:
-//
-//   p2_shard --merge [--system=...] [--nodes=N] [--out=PATH] FILE...
-//
-// Validates exact coverage against the same grid (every config exactly
-// once) and writes a byte-identical copy of what a --num-shards=1 worker
-// run would have produced. Exit 0 only on full coverage.
+// Merge mode (--merge FILE...) reassembles shard outputs into the serial
+// grid order. It validates exact coverage against the same grid (every
+// config exactly once) and writes a byte-identical copy of what a
+// --num-shards=1 worker run would have produced. Exit 0 only on full
+// coverage.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "common/flags.h"
 #include "engine/cli.h"
 #include "engine/experiment_grid.h"
 #include "engine/report.h"
 #include "engine/service.h"
+#include "server/planner_client.h"
 #include "server/remote_cache_client.h"
 
 namespace {
-
-bool ParseInt(const std::string& value, long long* out) {
-  if (value.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtoll(value.c_str(), &end, 10);
-  return end != nullptr && *end == '\0';
-}
-
-/// Polls for the server's --port-file (the readiness signal) for ~30 s.
-int PortFromFile(const std::string& path) {
-  for (int attempt = 0; attempt < 300; ++attempt) {
-    std::FILE* f = std::fopen(path.c_str(), "r");
-    if (f != nullptr) {
-      int port = 0;
-      const int got = std::fscanf(f, "%d", &port);
-      std::fclose(f);
-      if (got == 1 && port > 0) return port;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  }
-  return -1;
-}
 
 bool WriteOutput(const std::string& out_path, const std::string& text) {
   if (out_path.empty()) {
@@ -84,15 +55,12 @@ bool WriteOutput(const std::string& out_path, const std::string& text) {
   return true;
 }
 
-int RunMerge(const std::string& system, int nodes, const std::string& out_path,
+int RunMerge(std::size_t grid_size, const std::string& out_path,
              const std::vector<std::string>& files) {
   if (files.empty()) {
     std::fprintf(stderr, "p2_shard: --merge needs at least one shard file\n");
     return 2;
   }
-  const p2::topology::Cluster cluster = p2::engine::ClusterFromPreset(
-      p2::engine::TopologyPreset{system, nodes});
-  const auto grid = p2::engine::FullGrid(cluster);
   std::vector<p2::engine::ShardBlock> blocks;
   for (const std::string& file : files) {
     std::ifstream in(file, std::ios::binary);
@@ -113,14 +81,14 @@ int RunMerge(const std::string& system, int nodes, const std::string& out_path,
   std::string merged;
   std::string error;
   if (!p2::engine::MergeShardBlocks(std::move(blocks),
-                                    static_cast<std::int64_t>(grid.size()),
+                                    static_cast<std::int64_t>(grid_size),
                                     &merged, &error)) {
     std::fprintf(stderr, "p2_shard: merge failed: %s\n", error.c_str());
     return 1;
   }
   if (!WriteOutput(out_path, merged)) return 1;
   std::fprintf(stderr, "p2_shard: merged %zu configs from %zu shard files\n",
-               grid.size(), files.size());
+               grid_size, files.size());
   return 0;
 }
 
@@ -131,58 +99,54 @@ int main(int argc, char** argv) {
   int num_shards = 1;
   std::string system = "a100";
   int nodes = 2;
-  int service_threads = 2;
+  p2::engine::PlannerServiceOptions service_options;
+  service_options.threads = 2;
   int cache_port = -1;
   std::string cache_port_file;
   std::string out_path;
   bool merge = false;
   std::vector<std::string> merge_files;
-
-  const std::vector<std::string> args(argv + 1, argv + argc);
-  for (const std::string& arg : args) {
-    const auto eq = arg.find('=');
-    const std::string key = arg.substr(0, eq);
-    const std::string value =
-        eq == std::string::npos ? std::string() : arg.substr(eq + 1);
-    long long n = 0;
-    if (arg.substr(0, 2) != "--") {
-      merge_files.push_back(arg);
-    } else if (key == "--merge") {
-      merge = true;
-    } else if (key == "--shard-index" && ParseInt(value, &n)) {
-      shard_index = static_cast<int>(n);
-    } else if (key == "--num-shards" && ParseInt(value, &n)) {
-      num_shards = static_cast<int>(n);
-    } else if (key == "--system") {
-      system = value;
-    } else if (key == "--nodes" && ParseInt(value, &n)) {
-      nodes = static_cast<int>(n);
-    } else if (key == "--service-threads" && ParseInt(value, &n)) {
-      service_threads = static_cast<int>(n);
-    } else if (key == "--cache-port" && ParseInt(value, &n)) {
-      cache_port = static_cast<int>(n);
-    } else if (key == "--cache-port-file") {
-      cache_port_file = value;
-    } else if (key == "--out") {
-      out_path = value;
-    } else {
-      std::fprintf(stderr, "unrecognized flag: %s\n", arg.c_str());
-      return 2;
-    }
+  const std::vector<p2::Flag> flags = {
+      {"shard-index", &shard_index,
+       "plan the grid configs whose index is I mod N", 0},
+      {"num-shards", &num_shards, "N, the number of shards (default 1)", 1},
+      p2::engine::SystemFlag(&system),
+      p2::engine::NodesFlag(&nodes),
+      {"service-threads", &service_options.threads,
+       "size of the worker's service pool (default 2)", 1, p2::kMaxFlagThreads},
+      {"cache-port", &cache_port, "consult the cache plane on this port", 1,
+       65535},
+      {"cache-port-file", &cache_port_file,
+       "poll PATH (~30 s) for the cache plane's port"},
+      {"out", &out_path, "write the shard blocks to PATH (default stdout)"},
+      {"merge", &merge, "merge the shard FILEs instead of planning"},
+  };
+  std::string error;
+  if (!p2::ParseFlags({argv + 1, argv + argc}, flags,
+                      "p2_shard: distributed experiment-grid worker + merger\n"
+                      "\n"
+                      "usage: p2_shard --shard-index=I --num-shards=N [FLAGS]\n"
+                      "       p2_shard --merge [FLAGS] FILE...\n",
+                      &merge_files, &error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 2;
   }
 
-  if (merge) return RunMerge(system, nodes, out_path, merge_files);
+  const p2::topology::Cluster cluster = p2::engine::ClusterFromPreset(
+      p2::engine::TopologyPreset{system, nodes});
+  const auto grid = p2::engine::FullGrid(cluster);
+  if (merge) return RunMerge(grid.size(), out_path, merge_files);
   if (!merge_files.empty()) {
     std::fprintf(stderr, "p2_shard: positional files need --merge\n");
     return 2;
   }
-  if (num_shards <= 0 || shard_index < 0 || shard_index >= num_shards) {
+  if (shard_index >= num_shards) {
     std::fprintf(stderr,
-                 "p2_shard: need 0 <= --shard-index < --num-shards\n");
+                 "p2_shard: --shard-index must be less than --num-shards\n");
     return 2;
   }
   if (!cache_port_file.empty()) {
-    cache_port = PortFromFile(cache_port_file);
+    cache_port = p2::server::PortFromFile(cache_port_file);
     if (cache_port < 0) {
       std::fprintf(stderr, "p2_shard: no port appeared in %s\n",
                    cache_port_file.c_str());
@@ -190,14 +154,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  const p2::topology::Cluster cluster = p2::engine::ClusterFromPreset(
-      p2::engine::TopologyPreset{system, nodes});
-  const auto grid = p2::engine::FullGrid(cluster);
   const auto indices = p2::engine::ShardIndices(
       grid.size(), shard_index, num_shards);
 
-  p2::engine::PlannerServiceOptions service_options;
-  service_options.threads = service_threads;
   if (cache_port >= 0) {
     service_options.remote_cache =
         std::make_shared<p2::server::RemoteCacheClient>(cache_port);
