@@ -1,11 +1,14 @@
 // Benchmarks the staged evaluation pipeline (ISSUE 1) against the serial
 // monolith it replaced, on a Table-3-style grid: one A100 system, several
-// axis configurations, every reduction axis of each. Five variants, all
-// running through a PlannerService (ISSUE 4) — the process-wide owner of the
-// shared synthesis cache, worker pool and persistent store:
+// axis configurations, every reduction axis of each. Six variants; all but
+// the serial reference run through a PlannerService (ISSUE 4) — the
+// process-wide owner of the shared synthesis cache, worker pool and
+// persistent store:
 //
-//   serial        — per-placement re-synthesis, one thread (the seed's
-//                   Engine::RunExperiment monolith)
+//   serial        — per-placement Engine::EvaluatePlacement, one thread:
+//                   every placement synthesizes its own hierarchy, with no
+//                   cache, pool or service (the cacheless reference; the
+//                   pipeline itself has no cacheless mode)
 //   cached        — synthesize once per hierarchy signature, one thread
 //   cached+par    — signature cache plus a shared worker pool
 //   warm(disk)    — second planner process (ISSUE 3): the whole grid served
@@ -128,9 +131,6 @@ struct VariantResult {
   std::int64_t misses = 0;
   std::int64_t disk_hits = 0;
   double saved_seconds = 0.0;
-  /// Service-side submit→complete p99 (histogram bucket upper bound,
-  /// seconds) — the machine-readable per-variant tail for the JSON dump.
-  double p99_seconds = 0.0;
 };
 
 void Accumulate(const ExperimentResult& result, VariantResult* v) {
@@ -143,9 +143,38 @@ void Accumulate(const ExperimentResult& result, VariantResult* v) {
   v->synth_seconds += result.pipeline.synthesis_seconds;
 }
 
+// The serial reference: each config's placements evaluated one by one
+// through Engine::EvaluatePlacement, which synthesizes every placement's
+// hierarchy afresh.
+VariantResult RunSerial(const Engine& engine,
+                        const std::vector<GridConfig>& grid,
+                        std::vector<ExperimentResult>* results) {
+  VariantResult v;
+  const auto start = std::chrono::steady_clock::now();
+  for (const auto& cfg : grid) {
+    ExperimentResult result;
+    result.axes = cfg.axes;
+    result.reduction_axes = cfg.reduction_axes;
+    result.algo = engine.options().algo;
+    result.payload_bytes = engine.payload_bytes();
+    for (const auto& matrix : engine.SynthesizePlacements(cfg.axes)) {
+      result.placements.push_back(
+          engine.EvaluatePlacement(matrix, cfg.reduction_axes));
+    }
+    const auto n = static_cast<std::int64_t>(result.placements.size());
+    v.placements += n;
+    v.unique += n;  // no dedup: one synthesis per placement
+    v.synth_seconds += result.TotalSynthesisSeconds();
+    results->push_back(std::move(result));
+  }
+  v.seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  return v;
+}
+
 VariantResult RunGrid(const Engine& engine,
                       const PlannerServiceOptions& options,
-                      bool cache_synthesis,
                       const std::vector<GridConfig>& grid,
                       std::vector<ExperimentResult>* results) {
   VariantResult v;
@@ -158,7 +187,6 @@ VariantResult RunGrid(const Engine& engine,
     PlanRequest request;
     request.axes = cfg.axes;
     request.reduction_axes = cfg.reduction_axes;
-    request.cache_synthesis = cache_synthesis;
     ExperimentResult result = service.Plan(std::move(request));
     Accumulate(result, &v);
     if (results != nullptr) results->push_back(std::move(result));
@@ -166,7 +194,6 @@ VariantResult RunGrid(const Engine& engine,
   v.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  v.p99_seconds = service.stats().latency_p99_seconds;
   // No-op unless options.cache_file is set (and not readonly): persists the
   // grid's synthesis results for the warm-from-disk variant.
   std::string error;
@@ -204,9 +231,7 @@ VariantResult RunGridConcurrently(const Engine& engine, int threads,
   v.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  const auto stats = service.stats();
-  *total_misses = stats.cache.misses;
-  v.p99_seconds = stats.latency_p99_seconds;
+  *total_misses = service.stats().cache.misses;
   return v;
 }
 
@@ -247,7 +272,6 @@ VariantResult RunGridMultiTenant(const std::vector<p2::topology::Cluster>& clust
   const auto stats = service.stats();
   *total_misses = stats.cache.misses;
   *cross_tenant_hits = stats.cache.cross_tenant_hits;
-  v.p99_seconds = stats.latency_p99_seconds;
   return v;
 }
 
@@ -432,12 +456,12 @@ int main(int argc, char** argv) {
 
   std::printf(
       "Pipeline bench: %zu experiments on %s\n"
-      "(prediction-only; serial = the seed's per-placement re-synthesis)\n\n",
+      "(prediction-only; serial = per-placement Engine::EvaluatePlacement)"
+      "\n\n",
       grid.size(), engine.cluster().ToString().c_str());
 
   std::vector<ExperimentResult> serial_results;
-  const auto serial = RunGrid(engine, PlannerServiceOptions{},
-                              /*cache_synthesis=*/false, grid, &serial_results);
+  const auto serial = RunSerial(engine, grid, &serial_results);
 
   // The cached variant doubles as the warm variant's seeder: its service
   // persists the grid's synthesis results on exit (load and save both sit
@@ -449,21 +473,19 @@ int main(int argc, char** argv) {
   PlannerServiceOptions cached_options;
   cached_options.cache_file = cache_path;
   std::vector<ExperimentResult> cached_results;
-  const auto cached = RunGrid(engine, cached_options, /*cache_synthesis=*/true,
-                              grid, &cached_results);
+  const auto cached = RunGrid(engine, cached_options, grid, &cached_results);
 
   std::vector<ExperimentResult> parallel_results;
   const auto parallel =
-      RunGrid(engine, PlannerServiceOptions{.threads = threads},
-              /*cache_synthesis=*/true, grid, &parallel_results);
+      RunGrid(engine, PlannerServiceOptions{.threads = threads}, grid,
+              &parallel_results);
 
   // Warm-from-disk: a fresh service (standing in for a second planner
   // process) replays the grid from the file the cached variant persisted.
   PlannerServiceOptions warm_options = cached_options;
   warm_options.cache_readonly = true;
   std::vector<ExperimentResult> warm_results;
-  const auto warm = RunGrid(engine, warm_options, /*cache_synthesis=*/true,
-                            grid, &warm_results);
+  const auto warm = RunGrid(engine, warm_options, grid, &warm_results);
   std::filesystem::remove(cache_path);
 
   // ISSUE 4 acceptance setup: N overlapping queries on one shared service
@@ -770,10 +792,10 @@ int main(int argc, char** argv) {
         std::fprintf(
             f,
             "%s    {\"name\": \"%s\", \"misses\": %lld, \"hits\": %lld, "
-            "\"seconds\": %.6f, \"synth_seconds\": %.6f, \"p99_ms\": %.6f}",
+            "\"seconds\": %.6f, \"synth_seconds\": %.6f}",
             first ? "" : ",\n", name.c_str(),
             static_cast<long long>(v->misses), static_cast<long long>(v->hits),
-            v->seconds, v->synth_seconds, v->p99_seconds * 1e3);
+            v->seconds, v->synth_seconds);
         first = false;
       }
       std::fprintf(

@@ -139,17 +139,22 @@ void ThreadPool::TaskGroup::ReserveDeferred() {
 }
 
 void ThreadPool::TaskGroup::CommitDeferred(std::function<void()> task) {
+  // Read the pool before publishing the task. The caller is usually a
+  // foreign thread (an owner settling a flight): once mu_ is released the
+  // task may run, the group's Wait return and the group be destroyed, so
+  // nothing after the unlock may touch `this`.
+  ThreadPool& pool = pool_;
   {
-    std::unique_lock<std::mutex> lock(pool_.mu_);
+    std::unique_lock<std::mutex> lock(pool.mu_);
     // in_flight_ already counts this task, since ReserveDeferred.
     queue_.push_back(std::move(task));
     if (!scheduled_) {
       scheduled_ = true;
-      pool_.ready_.push_back(this);
+      pool.ready_.push_back(this);
     }
   }
-  pool_.work_available_.notify_one();
-  pool_.progress_.notify_all();
+  pool.work_available_.notify_one();
+  pool.progress_.notify_all();
 }
 
 void ThreadPool::TaskGroup::AbandonDeferred() {

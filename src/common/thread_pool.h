@@ -94,7 +94,10 @@ class ThreadPool {
     /// Enqueues `task` against one earlier ReserveDeferred(). Safe from any
     /// thread, including callbacks running outside the pool; the task is
     /// scheduled like a Submit()ted one (round-robin, per-group fail-fast,
-    /// helpable from Wait).
+    /// helpable from Wait). The group may be gone by the time this returns:
+    /// the committed task can run and the group's Wait return as soon as
+    /// the pool lock is released, so the call never touches the group after
+    /// that.
     void CommitDeferred(std::function<void()> task);
     /// Releases one earlier ReserveDeferred() without enqueueing anything.
     void AbandonDeferred();

@@ -98,25 +98,17 @@ ProgramEvaluation Engine::EvaluateProgram(const core::SynthesisHierarchy& sh,
 PlacementEvaluation Engine::EvaluatePlacement(
     const core::ParallelismMatrix& matrix,
     std::span<const int> reduction_axes) const {
-  // A throwaway single-query service: this entry point predates the
-  // long-lived PlannerService and keeps its one-shot, cacheless semantics
-  // (Pipeline::EvaluatePlacement never consults the cache).
-  PlannerService service(*this);
-  Pipeline pipeline(service, *this,
-                    PipelineOptions{.measure_top_k = -1, .cancel = {}});
-  return pipeline.EvaluatePlacement(matrix, reduction_axes);
+  return EvaluateUncachedPlacement(*this, matrix, reduction_axes,
+                                   /*measure_top_k=*/-1);
 }
 
 PlacementEvaluation Engine::EvaluatePlacementGuided(
     const core::ParallelismMatrix& matrix,
     std::span<const int> reduction_axes, int measure_top_k) const {
   // Clamp: negative k means "measure nothing beyond the baseline" here,
-  // while a negative PipelineOptions::measure_top_k would mean "not guided".
-  PlannerService service(*this);
-  Pipeline pipeline(service, *this,
-                    PipelineOptions{.measure_top_k = std::max(0, measure_top_k),
-                                    .cancel = {}});
-  return pipeline.EvaluatePlacement(matrix, reduction_axes);
+  // while a negative measure_top_k below would mean "not guided".
+  return EvaluateUncachedPlacement(*this, matrix, reduction_axes,
+                                   std::max(0, measure_top_k));
 }
 
 ExperimentResult Engine::RunExperiment(
@@ -130,7 +122,6 @@ ExperimentResult Engine::RunExperiment(
   PlanRequest request;
   request.axes.assign(axes.begin(), axes.end());
   request.reduction_axes.assign(reduction_axes.begin(), reduction_axes.end());
-  request.cache_synthesis = options_.cache_synthesis;
   return service.Plan(std::move(request));
 }
 

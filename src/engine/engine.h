@@ -37,9 +37,6 @@ struct EngineOptions {
   /// (engine/pipeline.h); <= 1 evaluates serially. Results are merged in
   /// placement order, so the output is identical at any thread count.
   int threads = 1;
-  /// Memoize synthesis by hierarchy signature across the placements of an
-  /// experiment (engine/synthesis_cache.h).
-  bool cache_synthesis = true;
 };
 
 /// Stage and cache statistics of the evaluation pipeline run that produced
@@ -59,8 +56,7 @@ struct PipelineStats {
   /// concurrent requests sharing one PlannerService, which request takes
   /// the miss for a shared signature depends on arrival order, so sums
   /// across requests are stable but the per-request split can vary; only
-  /// hits + misses is per-request deterministic. All zero on the cacheless
-  /// path.
+  /// hits + misses is per-request deterministic.
   SynthesisCacheStats cache;
   /// Transposition-search totals (core::SynthesisStats) summed over the
   /// placements, counterfactually like TotalSynthesisSeconds: placements

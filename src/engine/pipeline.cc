@@ -64,11 +64,18 @@ Pipeline::Pipeline(PlannerService& service, const Engine& engine,
                    PipelineOptions options)
     : service_(service), engine_(engine), options_(options) {}
 
-PlacementEvaluation Pipeline::Evaluate(
-    const core::ParallelismMatrix& matrix, const core::SynthesisHierarchy& sh,
-    const core::SynthesisResult& synthesis) const {
-  const bool guided = options_.measure_top_k >= 0;
-  const bool measure_all = !guided && engine_.options().measure;
+namespace {
+
+// Lowers, predicts and (guided-)measures every program of one placement,
+// given its synthesis: the per-placement evaluation of Pipeline::Run and of
+// EvaluateUncachedPlacement.
+PlacementEvaluation EvaluateSynthesized(const Engine& engine,
+                                        const core::ParallelismMatrix& matrix,
+                                        const core::SynthesisHierarchy& sh,
+                                        const core::SynthesisResult& synthesis,
+                                        int measure_top_k) {
+  const bool guided = measure_top_k >= 0;
+  const bool measure_all = !guided && engine.options().measure;
 
   PlacementEvaluation eval;
   eval.matrix = matrix;
@@ -85,7 +92,7 @@ PlacementEvaluation Pipeline::Evaluate(
   // so drop the duplicate from the synthesized list.
   const core::Program default_ar = DefaultAllReduceProgram();
   lowered.push_back(core::LowerProgram(sh, default_ar));
-  eval.programs.push_back(EvaluateLowered(engine_, sh, default_ar,
+  eval.programs.push_back(EvaluateLowered(engine, sh, default_ar,
                                           lowered.front(), measure_all));
   eval.programs.front().is_default_allreduce = true;
 
@@ -100,7 +107,7 @@ PlacementEvaluation Pipeline::Evaluate(
       continue;
     }
     eval.programs.push_back(
-        EvaluateLowered(engine_, sh, p, lowered_p, measure_all));
+        EvaluateLowered(engine, sh, p, lowered_p, measure_all));
     lowered.push_back(std::move(lowered_p));
   }
 
@@ -119,9 +126,9 @@ PlacementEvaluation Pipeline::Evaluate(
     auto measure = [&](int index) {
       auto& p = eval.programs[static_cast<std::size_t>(index)];
       if (p.measured) return;
-      p.measured_seconds = engine_.executor().MeasureProgram(
-          lowered[static_cast<std::size_t>(index)], engine_.payload_bytes(),
-          engine_.options().algo);
+      p.measured_seconds = engine.executor().MeasureProgram(
+          lowered[static_cast<std::size_t>(index)], engine.payload_bytes(),
+          engine.options().algo);
       p.measured = true;
     };
     measure(0);  // the baseline is always measured
@@ -143,8 +150,7 @@ PlacementEvaluation Pipeline::Evaluate(
       }
     };
     observe(eval.programs.front());
-    for (int i = 0;
-         i < options_.measure_top_k && i < static_cast<int>(order.size());
+    for (int i = 0; i < measure_top_k && i < static_cast<int>(order.size());
          ++i) {
       const int index = order[static_cast<std::size_t>(i)];
       auto& p = eval.programs[static_cast<std::size_t>(index)];
@@ -163,15 +169,18 @@ PlacementEvaluation Pipeline::Evaluate(
   return eval;
 }
 
-PlacementEvaluation Pipeline::EvaluatePlacement(
-    const core::ParallelismMatrix& matrix,
-    std::span<const int> reduction_axes) {
+}  // namespace
+
+PlacementEvaluation EvaluateUncachedPlacement(
+    const Engine& engine, const core::ParallelismMatrix& matrix,
+    std::span<const int> reduction_axes, int measure_top_k) {
   const auto sh = core::SynthesisHierarchy::Build(
-      matrix, reduction_axes, engine_.options().hierarchy_kind,
-      engine_.options().collapse_hierarchy);
-  core::SynthesisOptions synth_options = engine_.options().synthesis;
-  synth_options.cancel = options_.cancel;
-  return Evaluate(matrix, sh, core::SynthesizePrograms(sh, synth_options));
+      matrix, reduction_axes, engine.options().hierarchy_kind,
+      engine.options().collapse_hierarchy);
+  return EvaluateSynthesized(
+      engine, matrix, sh,
+      core::SynthesizePrograms(sh, engine.options().synthesis),
+      measure_top_k);
 }
 
 ExperimentResult Pipeline::Run(std::span<const std::int64_t> axes,
@@ -203,19 +212,13 @@ ExperimentResult Pipeline::Run(std::span<const std::int64_t> axes,
         engine_.options().collapse_hierarchy));
   }
   std::vector<std::vector<std::size_t>> members_of;
-  if (options_.cache_synthesis) {
-    std::unordered_map<std::string, std::size_t> group_of_signature;
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto [it, inserted] = group_of_signature.try_emplace(
-          SynthesisCache::BaseKey(hierarchies[i], engine_.options().synthesis),
-          members_of.size());
-      if (inserted) members_of.emplace_back();
-      members_of[it->second].push_back(i);
-    }
-  } else {
-    // Cacheless: every placement is its own group and re-synthesizes.
-    members_of.resize(n);
-    for (std::size_t i = 0; i < n; ++i) members_of[i].push_back(i);
+  std::unordered_map<std::string, std::size_t> group_of_signature;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto [it, inserted] = group_of_signature.try_emplace(
+        SynthesisCache::BaseKey(hierarchies[i], engine_.options().synthesis),
+        members_of.size());
+    if (inserted) members_of.emplace_back();
+    members_of[it->second].push_back(i);
   }
 
   // This request's work items. Other in-flight requests have their own
@@ -290,15 +293,6 @@ ExperimentResult Pipeline::Run(std::span<const std::int64_t> axes,
     const auto& members = members_of[g];
     while (state.next_member < members.size()) {
       const std::size_t i = members[state.next_member];
-      if (!options_.cache_synthesis) {
-        // Cacheless: a singleton group that synthesizes right here.
-        const auto synth_start = std::chrono::steady_clock::now();
-        synthesis[i] = std::make_shared<const core::SynthesisResult>(
-            SynthesizePrograms(hierarchies[i], synth_options));
-        state.synth_seconds += SecondsSince(synth_start);
-        ++state.next_member;
-        continue;
-      }
       // Reserve the pool slot BEFORE the lookup can register the
       // continuation: a continuation firing instantly must find the
       // reservation its CommitDeferred settles.
@@ -353,7 +347,8 @@ ExperimentResult Pipeline::Run(std::span<const std::int64_t> axes,
         options_.cancel.ThrowIfCancelled();
         const auto eval_start = std::chrono::steady_clock::now();
         result.placements[i] =
-            Evaluate(placements[i], hierarchies[i], *synthesis[i]);
+            EvaluateSynthesized(engine_, placements[i], hierarchies[i],
+                                *synthesis[i], options_.measure_top_k);
         eval_seconds[i] = SecondsSince(eval_start);
       });
     }
@@ -415,7 +410,7 @@ ExperimentResult Pipeline::Run(std::span<const std::int64_t> axes,
   // Cache accounting from this request's own lookups, summed in placement
   // order (deterministic and double-reproducible — unlike global cache
   // deltas, which under concurrent requests would absorb everyone else's
-  // activity). The cacheless path never looks up, so it stays zero.
+  // activity).
   for (const SynthesisCacheStats& c : counted) result.pipeline.cache += c;
   result.pipeline.synthesis_seconds = synthesis_seconds;
   result.pipeline.evaluation_seconds = evaluation_seconds;

@@ -10,16 +10,18 @@
 // A Pipeline is stateless: it borrows the process-wide cache and worker
 // pool from its PlannerService and holds only per-query options, so any
 // number of pipelines (one per in-flight request) share synthesis results
-// and threads. Placements are independent once their synthesis hierarchies
-// are shared, so stages 3-4 run as work items on a ThreadPool::TaskGroup of
-// the shared pool — concurrent requests' items interleave fairly. The one
-// scheduler is deferral-aware: a signature group whose synthesis another
-// request owns re-enqueues itself through a SynthesisCache::TryLookup
-// continuation while the thread runs other pending tasks, so no pool
-// thread ever blocks on a foreign synthesis (PipelineStats::cache counts
-// the deferrals). Results are written into preallocated slots and merged
-// in enumeration order, which makes the parallel output byte-identical to
-// the serial path (modulo wall-clock timing fields).
+// and threads. There is no cacheless mode: every placement gets its
+// programs through the signature cache. Placements are independent once
+// their synthesis hierarchies are shared, so stages 3-4 run as work items
+// on a ThreadPool::TaskGroup of the shared pool — concurrent requests'
+// items interleave fairly. The one scheduler is deferral-aware: a
+// signature group whose synthesis another request owns re-enqueues itself
+// through a SynthesisCache::TryLookup continuation while the thread runs
+// other pending tasks, so no pool thread ever blocks on a foreign synthesis
+// (PipelineStats::cache counts the deferrals). Results are written into
+// preallocated slots and merged in enumeration order, which makes the
+// parallel output byte-identical to the per-placement reference,
+// EvaluateUncachedPlacement (modulo wall-clock timing fields).
 #ifndef P2_ENGINE_PIPELINE_H_
 #define P2_ENGINE_PIPELINE_H_
 
@@ -37,10 +39,6 @@ class PlannerService;
 /// Per-query knobs. Process-wide concerns — thread count, cache
 /// persistence — live in PlannerServiceOptions.
 struct PipelineOptions {
-  /// Memoize synthesis by hierarchy signature in the service's shared cache
-  /// (stage 2/3). Off re-synthesizes per placement like the original
-  /// monolith (the bench's baseline).
-  bool cache_synthesis = true;
   /// < 0: measure every program iff the engine's options say so (the classic
   /// full-evaluation path). >= 0: simulator-guided evaluation — predict
   /// everything, measure only the default AllReduce plus the top-k programs
@@ -78,17 +76,7 @@ class Pipeline {
   ExperimentResult Run(std::span<const std::int64_t> axes,
                        std::span<const int> reduction_axes);
 
-  /// Single-placement entry point (stages 3-4 only, inline on the calling
-  /// thread): synthesizes directly, never through the service's cache, so
-  /// one-shot callers keep their cacheless semantics.
-  PlacementEvaluation EvaluatePlacement(const core::ParallelismMatrix& matrix,
-                                        std::span<const int> reduction_axes);
-
  private:
-  PlacementEvaluation Evaluate(const core::ParallelismMatrix& matrix,
-                               const core::SynthesisHierarchy& sh,
-                               const core::SynthesisResult& synthesis) const;
-
   PlannerService& service_;
   const Engine& engine_;
   PipelineOptions options_;
@@ -101,6 +89,15 @@ ProgramEvaluation EvaluateProgramOnEngine(const Engine& engine,
                                           const core::SynthesisHierarchy& sh,
                                           const core::Program& program,
                                           bool measure);
+
+/// The cacheless per-placement reference behind Engine::EvaluatePlacement
+/// [Guided]: synthesizes the placement's own hierarchy on the calling thread
+/// — no cache, pool or service — then lowers, predicts and measures it
+/// exactly as a Pipeline::Run placement (`measure_top_k` as in
+/// PipelineOptions).
+PlacementEvaluation EvaluateUncachedPlacement(
+    const Engine& engine, const core::ParallelismMatrix& matrix,
+    std::span<const int> reduction_axes, int measure_top_k);
 
 }  // namespace p2::engine
 

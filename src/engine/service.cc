@@ -17,8 +17,8 @@ namespace {
 /// Digest of every EngineOptions field that can change a plan. Appended to
 /// the cluster fingerprint in the tenant key so one machine under two
 /// evaluation configurations gets two engines instead of silently sharing
-/// one. `threads` and `cache_synthesis` are excluded: they are
-/// execution-strategy knobs with byte-identical output at any setting.
+/// one. `threads` is excluded: it is an execution-strategy knob with
+/// byte-identical output at any setting.
 std::string EngineOptionsDigest(const EngineOptions& options) {
   char payload[40];
   std::snprintf(payload, sizeof(payload), "%.17g", options.payload_bytes);
@@ -276,20 +276,12 @@ void PlannerService::FinishRequest(
   active_.erase(id);
   --in_flight_;
   --tenant.in_flight;
-  if (error != nullptr) {
-    // Classify the abort for the stats; other failures (engine
-    // construction, evaluation bugs) reach the caller through the future
-    // but are not aborts.
-    try {
-      std::rethrow_exception(error);
-    } catch (const PlanDeadlineExceeded&) {
-      ++deadline_exceeded_;
-      ++tenant.stats.deadline_exceeded;
-    } catch (const PlanCancelled&) {
-      ++cancelled_;
-      ++tenant.stats.cancelled;
-    } catch (...) {
-    }
+  // Book aborts on the tenant row; other failures (engine construction,
+  // evaluation bugs) reach the caller through the future but are not aborts.
+  const PlanOutcome outcome = ClassifyPlanError(error);
+  if (outcome == PlanOutcome::kCancelled) ++tenant.stats.cancelled;
+  if (outcome == PlanOutcome::kDeadlineExceeded) {
+    ++tenant.stats.deadline_exceeded;
   }
   lock.unlock();
   drained_cv_.notify_all();
@@ -306,12 +298,6 @@ void PlannerService::AccumulateTenantStats(Tenant& tenant,
 
 PlanHandle PlannerService::Submit(PlanRequest request) {
   requests_.fetch_add(1, std::memory_order_relaxed);
-  if (!options_.cache_file.empty()) {
-    // Persistence is the signature cache on disk: bypassing it would
-    // silently ignore the loaded entries and drop this request's results
-    // from the rewrite on save.
-    request.cache_synthesis = true;
-  }
 
   CancelSource source;
   if (request.deadline.has_value()) {
@@ -340,13 +326,11 @@ PlanHandle PlannerService::Submit(PlanRequest request) {
       return fail(std::current_exception());
     }
     if (draining_) {
-      ++rejected_;
       ++tenant->stats.rejected;
       return fail(std::make_exception_ptr(
           PlanRejected("PlannerService is draining; no new submissions")));
     }
     if (options_.max_in_flight > 0 && in_flight_ >= options_.max_in_flight) {
-      ++rejected_;
       ++tenant->stats.rejected;
       return fail(std::make_exception_ptr(PlanRejected(
           "service-wide max_in_flight (" +
@@ -354,7 +338,6 @@ PlanHandle PlannerService::Submit(PlanRequest request) {
     }
     if (options_.max_in_flight_per_tenant > 0 &&
         tenant->in_flight >= options_.max_in_flight_per_tenant) {
-      ++rejected_;
       ++tenant->stats.rejected;
       return fail(std::make_exception_ptr(PlanRejected(
           "per-tenant max_in_flight (" +
@@ -391,7 +374,6 @@ PlanHandle PlannerService::Submit(PlanRequest request) {
           Tenant& resolved = TenantForRequest(request);
           Pipeline pipeline(*this, *resolved.engine,
                             PipelineOptions{
-                                .cache_synthesis = request.cache_synthesis,
                                 .measure_top_k = request.measure_top_k,
                                 .tenant = resolved.id,
                                 .cancel = token,
@@ -508,9 +490,6 @@ PlannerServiceStats PlannerService::stats() const {
   stats.threads = options_.threads > 1 ? options_.threads : 1;
   std::unique_lock<std::mutex> lock(tenants_mu_);
   stats.engines_constructed = engines_constructed_;
-  stats.rejected = rejected_;
-  stats.cancelled = cancelled_;
-  stats.deadline_exceeded = deadline_exceeded_;
   stats.peak_in_flight = peak_in_flight_;
   stats.save_errors = save_errors_;
   stats.last_save_error = last_save_error_;
@@ -519,7 +498,12 @@ PlannerServiceStats PlannerService::stats() const {
   stats.latency_p95_seconds = latency_.Percentile(95.0);
   stats.latency_p99_seconds = latency_.Percentile(99.0);
   stats.tenants.reserve(tenants_.size());
-  for (const auto& tenant : tenants_) stats.tenants.push_back(tenant->stats);
+  for (const auto& tenant : tenants_) {
+    stats.tenants.push_back(tenant->stats);
+    stats.rejected += tenant->stats.rejected;
+    stats.cancelled += tenant->stats.cancelled;
+    stats.deadline_exceeded += tenant->stats.deadline_exceeded;
+  }
   return stats;
 }
 

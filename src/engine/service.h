@@ -25,7 +25,9 @@
 //
 //   Pipeline (engine/pipeline.h) is the stateless per-query executor that
 //   borrows cache + pool from the service and evaluates on the engine the
-//   request's cluster resolves to.
+//   request's cluster resolves to. Every request gets its placements'
+//   programs through the shared SynthesisCache; no request bypasses it, so
+//   a cache_file always sees every request's entries.
 //
 // Two entry points: Submit(PlanRequest) returns a std::future immediately
 // and runs the request as pool tasks (requests overlap: their placements
@@ -169,10 +171,6 @@ struct PlanRequest {
   /// simulator-guided evaluation — predict everything, measure only the
   /// default AllReduce plus the top-k programs by prediction.
   int measure_top_k = -1;
-  /// Memoize synthesis in the service's shared cache. Off re-synthesizes
-  /// per placement like the original monolith (the bench's baseline); a
-  /// service with a cache_file forces it on for its requests.
-  bool cache_synthesis = true;
   /// Tenant selector: the machine to plan for. The service resolves it to
   /// an engine through the registry (constructing one on a new
   /// fingerprint), so one service serves any number of clusters. Without
@@ -280,8 +278,9 @@ struct PlannerServiceStats {
   std::int64_t engines_constructed = 0;
   SynthesisCacheStats cache;  ///< shared-cache totals across all requests
   int threads = 1;
-  // Service-wide robustness totals (across all tenants, including requests
-  // rejected before any tenant attribution was possible).
+  // Service-wide robustness totals: the sums of the tenant rows' counters
+  // (Submit attributes every rejection, and FinishRequest every cancel and
+  // expired deadline, to the request's tenant).
   std::int64_t rejected = 0;
   std::int64_t cancelled = 0;
   std::int64_t deadline_exceeded = 0;
@@ -475,9 +474,6 @@ class PlannerService {
   bool draining_ = false;
   std::int64_t in_flight_ = 0;
   std::int64_t peak_in_flight_ = 0;
-  std::int64_t rejected_ = 0;
-  std::int64_t cancelled_ = 0;
-  std::int64_t deadline_exceeded_ = 0;
   std::int64_t save_errors_ = 0;
   std::string last_save_error_;
   std::int64_t next_request_id_ = 0;

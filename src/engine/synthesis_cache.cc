@@ -19,21 +19,41 @@ constexpr std::string_view kCapMarker = ";cap=";
 /// server keeps re-granting.
 constexpr int kMaxRemoteRetryMs = 60'000;
 
-/// Recovers the max_programs cap a persisted Key() embeds. False when the
-/// key was not produced by Key() (e.g. a hand-forged cache file).
-bool ParseCapFromKey(const std::string& key, std::string* base,
-                     std::int64_t* cap) {
+/// The persisted Key() of `base` under max_programs cap `cap`.
+std::string JoinKey(const std::string& base, std::int64_t cap) {
+  return base + std::string(kCapMarker) + std::to_string(cap);
+}
+
+/// Splits a persisted Key() into its base, returned, and the max_programs
+/// cap it embeds, stored in `cap`. A key Key() did not produce (e.g. a
+/// hand-forged cache file) is all base and leaves `cap` untouched.
+std::string SplitKey(const std::string& key, std::int64_t* cap) {
   const auto pos = key.rfind(kCapMarker);
-  if (pos == std::string::npos) return false;
-  const char* begin = key.data() + pos + kCapMarker.size();
-  const char* end = key.data() + key.size();
-  if (begin == end) return false;
+  if (pos == std::string::npos) return key;
   std::int64_t value = 0;
-  const auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec != std::errc() || ptr != end || value < 0) return false;
-  base->assign(key, 0, pos);
+  const char* end = key.data() + key.size();
+  const auto [ptr, ec] =
+      std::from_chars(key.data() + pos + kCapMarker.size(), end, value);
+  if (ec != std::errc() || ptr != end || value < 0) return key;
   *cap = value;
-  return true;
+  return key.substr(0, pos);
+}
+
+/// `result` cut to its first `cap` programs, or `result` itself when it
+/// holds no more. Exact, not approximate: an entry's program list is the
+/// smallest-first prefix of the full solution set, so its own prefix is
+/// precisely what a fresh synthesis under `cap` would return. The stats
+/// (and the counterfactual seconds) stay those of the run that produced the
+/// entry, like any other hit.
+std::shared_ptr<const core::SynthesisResult> TruncateToCap(
+    std::shared_ptr<const core::SynthesisResult> result, std::int64_t cap) {
+  if (cap >= static_cast<std::int64_t>(result->programs.size())) return result;
+  auto truncated = std::make_shared<core::SynthesisResult>();
+  truncated->stats = result->stats;
+  truncated->programs.assign(
+      result->programs.begin(),
+      result->programs.begin() + static_cast<std::ptrdiff_t>(cap));
+  return truncated;
 }
 
 /// An event of `n` occurrences of one counter, for CountLocked.
@@ -119,14 +139,47 @@ std::string SynthesisCache::BaseKey(const core::SynthesisHierarchy& sh,
 
 std::string SynthesisCache::Key(const core::SynthesisHierarchy& sh,
                                 const core::SynthesisOptions& options) {
-  return BaseKey(sh, options) + std::string(kCapMarker) +
-         std::to_string(options.max_programs);
+  return JoinKey(BaseKey(sh, options), options.max_programs);
 }
 
 std::string SynthesisCache::BaseOfKey(const std::string& key) {
-  std::string base;
   std::int64_t cap = 0;
-  return ParseCapFromKey(key, &base, &cap) ? base : key;
+  return SplitKey(key, &cap);
+}
+
+std::string SynthesisCache::DecodeForeignEntry(const std::string& key,
+                                               core::SynthesisResult result,
+                                               Entry* entry) {
+  // The cap a key without one keeps: the entry then serves caps up to its
+  // program count and never fabricates completeness.
+  entry->max_programs = static_cast<std::int64_t>(result.programs.size());
+  std::string base = SplitKey(key, &entry->max_programs);
+  // Served results report zero synthesis time: this process never ran the
+  // search. The original wall-clock lives on in Entry::original_seconds for
+  // the savings accounting and for re-persisting.
+  entry->original_seconds = result.stats.seconds;
+  result.stats.seconds = 0.0;
+  entry->result =
+      std::make_shared<const core::SynthesisResult>(std::move(result));
+  return base;
+}
+
+SynthesisCacheStats SynthesisCache::HitEvent(const Entry& entry,
+                                             std::int64_t cap,
+                                             std::int64_t tenant) {
+  SynthesisCacheStats hit;
+  hit.hits = 1;
+  hit.seconds_saved = entry.original_seconds;
+  if (entry.from_disk) {
+    hit.disk_hits = 1;
+    hit.disk_seconds_saved = entry.original_seconds;
+  }
+  const bool cross_tenant = entry.owner_tenant != kNoTenant &&
+                            tenant != kNoTenant && entry.owner_tenant != tenant;
+  hit.cross_tenant_hits = cross_tenant ? 1 : 0;
+  hit.subsumed_hits =
+      cap < static_cast<std::int64_t>(entry.result->programs.size()) ? 1 : 0;
+  return hit;
 }
 
 void SynthesisCache::set_remote(std::shared_ptr<RemoteCacheBackend> remote) {
@@ -233,9 +286,7 @@ std::shared_ptr<const core::SynthesisResult> SynthesisCache::SynthesizeOwned(
 bool SynthesisCache::ConsultRemote(RemoteCacheBackend& remote,
                                    const std::string& base,
                                    const core::SynthesisOptions& options,
-                                   core::SynthesisResult* result,
-                                   std::int64_t* entry_cap,
-                                   SynthesisCacheStats* counted) {
+                                   Entry* entry, SynthesisCacheStats* counted) {
   const std::int64_t cap = std::max<std::int64_t>(0, options.max_programs);
   const auto count_error = [this, counted] {
     std::unique_lock<std::mutex> lock(mu_);
@@ -250,24 +301,15 @@ bool SynthesisCache::ConsultRemote(RemoteCacheBackend& remote,
     RemoteLookupResult reply = remote.Lookup(base, cap);
     switch (reply.kind) {
       case RemoteLookupResult::Kind::kHit: {
-        std::string reply_base;
-        std::int64_t reply_cap = 0;
-        if (!ParseCapFromKey(reply.key, &reply_base, &reply_cap)) {
-          reply_base = reply.key;
-          reply_cap = static_cast<std::int64_t>(reply.result.programs.size());
-        }
-        const bool complete =
-            static_cast<std::int64_t>(reply.result.programs.size()) <
-            reply_cap;
-        if (reply_base != base || (!complete && cap > reply_cap)) {
+        const std::string reply_base =
+            DecodeForeignEntry(reply.key, std::move(reply.result), entry);
+        if (reply_base != base || !entry->CanServe(cap)) {
           // A hit for the wrong base or one that cannot serve our cap is a
           // protocol violation by the plane: synthesize locally rather than
           // adopt an answer we cannot trust.
           count_error();
           return false;
         }
-        *result = std::move(reply.result);
-        *entry_cap = reply_cap;
         return true;
       }
       case RemoteLookupResult::Kind::kOwned:
@@ -297,44 +339,6 @@ bool SynthesisCache::ConsultRemote(RemoteCacheBackend& remote,
   }
 }
 
-std::shared_ptr<const core::SynthesisResult> SynthesisCache::AdoptRemoteHit(
-    const std::string& base, core::SynthesisResult fetched,
-    std::int64_t entry_cap, std::int64_t cap, SynthesisCacheStats* counted) {
-  const double original_seconds = fetched.stats.seconds;
-  // Like Preload: this process spent nothing synthesizing, so the served
-  // result reports zero seconds while the foreign wall-clock lives on in
-  // original_seconds for the savings accounting.
-  fetched.stats.seconds = 0.0;
-  std::unique_lock<std::mutex> lock(mu_);
-  Entry entry;
-  entry.result =
-      std::make_shared<const core::SynthesisResult>(std::move(fetched));
-  entry.original_seconds = original_seconds;
-  entry.max_programs = entry_cap;
-  // owner_tenant stays kNoTenant: the entry was synthesized by a foreign
-  // process, not by any tenant of this one.
-  Entry& published = PublishLocked(base, std::move(entry), counted);
-  const bool subsumed =
-      cap < static_cast<std::int64_t>(published.result->programs.size());
-  SynthesisCacheStats hit;
-  hit.hits = 1;
-  hit.remote_hits = 1;
-  hit.subsumed_hits = subsumed ? 1 : 0;
-  hit.seconds_saved = original_seconds;
-  CountLocked(hit, counted);
-  auto result = published.result;
-  // Settle the flight we claimed before consulting the plane: the deferred
-  // lookups' retries are served from the adopted entry.
-  SettleFlight(lock, base, counted);
-  if (!subsumed) return result;
-  auto truncated = std::make_shared<core::SynthesisResult>();
-  truncated->stats = result->stats;
-  truncated->programs.assign(
-      result->programs.begin(),
-      result->programs.begin() + static_cast<std::ptrdiff_t>(cap));
-  return truncated;
-}
-
 std::shared_ptr<const core::SynthesisResult> SynthesisCache::FetchRemoteOwned(
     const core::SynthesisHierarchy& sh, const core::SynthesisOptions& options,
     SynthesisCacheStats* counted) {
@@ -346,49 +350,35 @@ std::shared_ptr<const core::SynthesisResult> SynthesisCache::FetchRemoteOwned(
   if (remote == nullptr) return nullptr;
   const std::string base = BaseKey(sh, options);
   const std::int64_t cap = std::max<std::int64_t>(0, options.max_programs);
-  core::SynthesisResult fetched;
-  std::int64_t entry_cap = 0;
-  if (!ConsultRemote(*remote, base, options, &fetched, &entry_cap, counted)) {
+  Entry fetched;
+  if (!ConsultRemote(*remote, base, options, &fetched, counted)) {
     return nullptr;
   }
-  return AdoptRemoteHit(base, std::move(fetched), entry_cap, cap, counted);
+  // owner_tenant stays kNoTenant: the entry was synthesized by a foreign
+  // process, not by any tenant of this one.
+  SynthesisCacheStats hit = HitEvent(fetched, cap, kNoTenant);
+  hit.remote_hits = 1;
+  auto result = fetched.result;
+  std::unique_lock<std::mutex> lock(mu_);
+  PublishLocked(base, std::move(fetched), counted);
+  CountLocked(hit, counted);
+  // Settle the flight we claimed before consulting the plane: the deferred
+  // lookups' retries are served from the adopted entry.
+  SettleFlight(lock, base, counted);
+  return TruncateToCap(std::move(result), cap);
 }
 
 std::shared_ptr<const core::SynthesisResult> SynthesisCache::ServeHitLocked(
     std::unique_lock<std::mutex>& lock, Entry& entry, std::int64_t cap,
     std::int64_t tenant, SynthesisCacheStats* counted) {
   TouchLocked(entry);
-  const bool subsumed =
-      cap < static_cast<std::int64_t>(entry.result->programs.size());
-  SynthesisCacheStats hit;
-  hit.hits = 1;
-  hit.seconds_saved = entry.original_seconds;
-  if (entry.from_disk) {
-    hit.disk_hits = 1;
-    hit.disk_seconds_saved = entry.original_seconds;
-  }
-  const bool cross_tenant = entry.owner_tenant != kNoTenant &&
-                            tenant != kNoTenant && entry.owner_tenant != tenant;
-  hit.cross_tenant_hits = cross_tenant ? 1 : 0;
-  hit.subsumed_hits = subsumed ? 1 : 0;
-  CountLocked(hit, counted);
+  CountLocked(HitEvent(entry, cap, tenant), counted);
   auto result = entry.result;
   // The truncation copies up to `cap` programs — do it outside the lock,
   // off the snapshotted shared_ptr, so concurrent lookups on other
-  // signatures never stall behind it. Truncating to a smaller cap is
-  // exact: the entry's program list is the smallest-first prefix of the
-  // full solution set, so its own prefix is precisely what a fresh
-  // synthesis under `cap` would return. The stats (and the counterfactual
-  // seconds) stay those of the run that produced the entry, like any other
-  // hit.
+  // signatures never stall behind it.
   lock.unlock();
-  if (!subsumed) return result;
-  auto truncated = std::make_shared<core::SynthesisResult>();
-  truncated->stats = result->stats;
-  truncated->programs.assign(
-      result->programs.begin(),
-      result->programs.begin() + static_cast<std::ptrdiff_t>(cap));
-  return truncated;
+  return TruncateToCap(std::move(result), cap);
 }
 
 void SynthesisCache::SettleFlight(std::unique_lock<std::mutex>& lock,
@@ -483,9 +473,7 @@ void SynthesisCache::CompleteOwned(
   // Publish to the remote plane after settling: local deferred lookups
   // never stall behind the wire, and a failed publish only loses
   // cross-worker reuse of this entry.
-  if (remote != nullptr &&
-      !remote->Publish(
-          base + std::string(kCapMarker) + std::to_string(cap), *completed)) {
+  if (remote != nullptr && !remote->Publish(JoinKey(base, cap), *completed)) {
     std::unique_lock<std::mutex> relock(mu_);
     CountLocked(Event(&SynthesisCacheStats::remote_errors), counted);
   }
@@ -532,8 +520,7 @@ bool SynthesisCache::LookupByKey(const std::string& base_key, std::int64_t cap,
   const auto it = entries_.find(base_key);
   if (it == entries_.end() || !it->second.CanServe(clamped)) return false;
   TouchLocked(it->second);
-  *key = base_key + std::string(kCapMarker) +
-         std::to_string(it->second.max_programs);
+  *key = JoinKey(base_key, it->second.max_programs);
   *result = *it->second.result;
   // The wire carries the original synthesis wall-clock (like Snapshot), so
   // the adopting worker's seconds-saved accounting spans processes.
@@ -543,16 +530,9 @@ bool SynthesisCache::LookupByKey(const std::string& base_key, std::int64_t cap,
 
 bool SynthesisCache::PublishByKey(const std::string& key,
                                   core::SynthesisResult result) {
-  std::string base;
-  std::int64_t cap = 0;
-  if (!ParseCapFromKey(key, &base, &cap)) {
-    // Same conservative fallback as Preload for a non-Key-shaped key.
-    base = key;
-    cap = static_cast<std::int64_t>(result.programs.size());
-  }
-  const double original_seconds = result.stats.seconds;
-  const bool incoming_complete =
-      static_cast<std::int64_t>(result.programs.size()) < cap;
+  Entry incoming;
+  const std::string base =
+      DecodeForeignEntry(key, std::move(result), &incoming);
   std::unique_lock<std::mutex> lock(mu_);
   const auto it = entries_.find(base);
   // Keep the existing entry when it subsumes the incoming one: it serves
@@ -561,16 +541,11 @@ bool SynthesisCache::PublishByKey(const std::string& key,
   // harmless either way — both are prefixes of the same ordered list.
   if (it != entries_.end() &&
       (it->second.complete() ||
-       (!incoming_complete && it->second.max_programs >= cap))) {
+       (!incoming.complete() &&
+        it->second.max_programs >= incoming.max_programs))) {
     return false;
   }
-  result.stats.seconds = 0.0;
-  Entry entry;
-  entry.result =
-      std::make_shared<const core::SynthesisResult>(std::move(result));
-  entry.original_seconds = original_seconds;
-  entry.max_programs = cap;
-  PublishLocked(base, std::move(entry), nullptr);
+  PublishLocked(base, std::move(incoming), nullptr);
   return true;
 }
 
@@ -579,27 +554,10 @@ std::int64_t SynthesisCache::Preload(
   std::unique_lock<std::mutex> lock(mu_);
   std::int64_t inserted = 0;
   for (auto& [key, result] : entries) {
-    std::string base;
-    std::int64_t cap = 0;
-    if (!ParseCapFromKey(key, &base, &cap)) {
-      // Not a Key()-shaped key (foreign writer): assume the entry holds
-      // exactly its program count, so it serves caps up to that count and
-      // never fabricates completeness.
-      base = key;
-      cap = static_cast<std::int64_t>(result.programs.size());
-    }
-    if (entries_.find(base) != entries_.end()) continue;
-    const double original_seconds = result.stats.seconds;
-    // Served results report zero synthesis time: this process never ran the
-    // search. The original wall-clock lives on in Entry::original_seconds
-    // for the savings accounting and for re-persisting.
-    result.stats.seconds = 0.0;
     Entry entry;
-    entry.result =
-        std::make_shared<const core::SynthesisResult>(std::move(result));
-    entry.original_seconds = original_seconds;
     entry.from_disk = true;
-    entry.max_programs = cap;
+    const std::string base = DecodeForeignEntry(key, std::move(result), &entry);
+    if (entries_.find(base) != entries_.end()) continue;
     PublishLocked(base, std::move(entry), nullptr);
     ++inserted;
   }
@@ -615,8 +573,7 @@ SynthesisCache::Snapshot() const {
     for (const auto& [base, entry] : entries_) {
       core::SynthesisResult result = *entry.result;
       result.stats.seconds = entry.original_seconds;
-      snapshot.emplace_back(base + std::string(kCapMarker) +
-                                std::to_string(entry.max_programs),
+      snapshot.emplace_back(JoinKey(base, entry.max_programs),
                             std::move(result));
     }
   }

@@ -55,7 +55,11 @@
 //    last deferred caller's read.
 //
 // The cache can also be warmed from and persisted to disk across processes
-// via engine/cache_store.h (Preload/Snapshot below).
+// via engine/cache_store.h (Preload/Snapshot below). Entries from outside
+// the process — a cache file (Preload), a wire publish (PublishByKey) or a
+// remote-plane hit (FetchRemoteOwned) — enter one way: decoded from their
+// Key()-form key by one decoder, served with zero synthesis seconds of
+// their own, and counted by the same hit record as a table hit.
 #ifndef P2_ENGINE_SYNTHESIS_CACHE_H_
 #define P2_ENGINE_SYNTHESIS_CACHE_H_
 
@@ -431,24 +435,33 @@ class SynthesisCache {
   void ReleaseReservationLocked(DeferredLookup* deferred);
   /// Moves `base` to the front of the LRU list (mu_ held).
   void TouchLocked(Entry& entry);
-  /// The remote-plane lookup loop (no lock held): kHit fills
-  /// `result`/`entry_cap` and returns true; kOwned returns false (the grant
-  /// is ours — synthesize); kRetryAfter waits and retries within a bounded
-  /// budget; kUnavailable / exhausted budget / malformed reply count a
+  /// The remote-plane lookup loop (no lock held): kHit decodes the reply
+  /// into `entry` (DecodeForeignEntry) and returns true; kOwned returns
+  /// false (the grant is ours — synthesize); kRetryAfter waits and retries
+  /// within a bounded budget; kUnavailable / exhausted budget / a reply
+  /// for another base or one that cannot serve the query's cap count a
   /// remote error and return false. A cancel or deadline of
   /// `options.cancel` — checked each round and interrupting the
   /// retry-after wait — returns false.
   bool ConsultRemote(RemoteCacheBackend& remote, const std::string& base,
-                     const core::SynthesisOptions& options,
-                     core::SynthesisResult* result, std::int64_t* entry_cap,
+                     const core::SynthesisOptions& options, Entry* entry,
                      SynthesisCacheStats* counted);
-  /// Adopts a remote-plane hit while owning the flight at `base`: publishes
-  /// the fetched entry (serve seconds zeroed, original retained), counts a
-  /// remote hit, settles the flight, and returns the (cap-truncated)
-  /// result. Takes mu_.
-  std::shared_ptr<const core::SynthesisResult> AdoptRemoteHit(
-      const std::string& base, core::SynthesisResult fetched,
-      std::int64_t entry_cap, std::int64_t cap, SynthesisCacheStats* counted);
+  /// The one decoder of an entry from outside this process — a cache file
+  /// (Preload), a wire publish (PublishByKey) or a remote-plane hit —
+  /// under its Key()-form key. Returns the base and fills `entry`: the cap
+  /// the key embeds (the program count when the key is not Key-shaped, so
+  /// the entry never claims programs beyond the ones it holds), the result
+  /// with its serve seconds zeroed (this process spent nothing
+  /// synthesizing it), and the original seconds kept for the savings
+  /// accounting.
+  static std::string DecodeForeignEntry(const std::string& key,
+                                        core::SynthesisResult result,
+                                        Entry* entry);
+  /// The counters of serving `entry` at `cap` to `tenant`: the one hit
+  /// record of table hits (ServeHitLocked) and remote-plane hits
+  /// (FetchRemoteOwned, which adds remote_hits).
+  static SynthesisCacheStats HitEvent(const Entry& entry, std::int64_t cap,
+                                      std::int64_t tenant);
   /// Drops least-recently-used entries until the cap holds, skipping bases
   /// with outstanding deferred-lookup reservations (mu_ held); a no-op when
   /// max_entries_ <= 0.

@@ -205,7 +205,6 @@ bool PlannerServer::HandleFrame(int fd, const Frame& frame) {
       return false;
     }
     case FrameType::kCacheLookupRequest: {
-      cache_lookups_.fetch_add(1, std::memory_order_relaxed);
       CacheLookupWireRequest wire;
       std::string decode_error;
       if (!options_.cache_server) {
@@ -214,6 +213,9 @@ bool PlannerServer::HandleFrame(int fd, const Frame& frame) {
                                            &decode_error)) {
         decode_error = "bad cache lookup: " + decode_error;
       } else {
+        // Counted only once the plane answers: every counted lookup ends as
+        // exactly one hit, grant or retry.
+        cache_lookups_.fetch_add(1, std::memory_order_relaxed);
         CacheLookupWireResponse out;
         std::string key;
         core::SynthesisResult result;

@@ -85,7 +85,11 @@ struct PlannerServerStats {
   std::int64_t stats_requests = 0;   ///< stats frames served
   std::int64_t malformed_frames = 0; ///< connections dropped on bad frames
   // Cache-plane counters (all zero unless cache_server is on).
-  std::int64_t cache_lookups = 0;    ///< lookup frames served (any answer)
+  /// Lookup frames the plane answered. Each ends as exactly one hit, grant
+  /// or retry, so between lookups this is cache_hits + cache_grants +
+  /// cache_retries; a malformed lookup, or one sent to a non-cache server,
+  /// is not counted.
+  std::int64_t cache_lookups = 0;
   std::int64_t cache_hits = 0;       ///< ... answered with an entry
   std::int64_t cache_grants = 0;     ///< ... answered with an ownership grant
   std::int64_t cache_retries = 0;    ///< ... answered retry-after

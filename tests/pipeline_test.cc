@@ -54,16 +54,21 @@ TEST(Pipeline, ResultIsIdenticalAtAnyThreadCount) {
 TEST(Pipeline, MatchesTheCachelessSerialPath) {
   const Engine eng(topology::MakeA100Cluster(2), FastOptions());
   PlannerService cached_service(eng, PlannerServiceOptions{.threads = 4});
-  PlannerService monolith_service(eng, PlannerServiceOptions{.threads = 1});
   PlanRequest cached;
   cached.axes = kAxes;
   cached.reduction_axes = kReduce;
-  cached.cache_synthesis = true;
-  PlanRequest monolith = cached;
-  monolith.cache_synthesis = false;
+  // The reference: every placement synthesized for itself, serially.
+  ExperimentResult monolith;
+  monolith.axes = kAxes;
+  monolith.reduction_axes = kReduce;
+  monolith.algo = eng.options().algo;
+  monolith.payload_bytes = eng.payload_bytes();
+  for (const auto& matrix : eng.SynthesizePlacements(kAxes)) {
+    monolith.placements.push_back(eng.EvaluatePlacement(matrix, kReduce));
+  }
   EXPECT_EQ(
       ToJson(WithoutTimings(cached_service.Plan(std::move(cached)))),
-      ToJson(WithoutTimings(monolith_service.Plan(std::move(monolith)))));
+      ToJson(WithoutTimings(std::move(monolith))));
 }
 
 TEST(Pipeline, DedupsIsomorphicHierarchies) {

@@ -941,6 +941,11 @@ TEST(CacheServerTest, CacheFramesOnANonCacheServerKeepTheConnection) {
   EXPECT_EQ(status, WireStatus::kInvalidArgument);
   // The frame itself was valid, so the connection still serves plans.
   EXPECT_EQ(client.Plan(WireRequestFor(Configs()[0])).status, WireStatus::kOk);
+  // The cache-plane counters stay zero on a server without the plane.
+  const auto stats = fixture.server->stats();
+  EXPECT_EQ(stats.cache_lookups, 0);
+  EXPECT_EQ(stats.cache_lookups,
+            stats.cache_hits + stats.cache_grants + stats.cache_retries);
 }
 
 TEST(CacheServerTest, MalformedCachePayloadsKeepTheConnection) {
@@ -986,6 +991,11 @@ TEST(CacheServerTest, MalformedCachePayloadsKeepTheConnection) {
   Frame reply;
   ASSERT_TRUE(client.ReceiveFrame(&reply));
   EXPECT_EQ(reply.type, FrameType::kCacheLookupResponse);
+  // Only the answered lookup counts; the truncated one got no answer.
+  const auto stats = fixture.server->stats();
+  EXPECT_EQ(stats.cache_lookups, 1);
+  EXPECT_EQ(stats.cache_lookups,
+            stats.cache_hits + stats.cache_grants + stats.cache_retries);
 }
 
 TEST(CacheServerTest, CorruptCacheFrameClosesTheConnection) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
@@ -198,6 +199,28 @@ TEST(TaskGroup, DeferredReservationHoldsWaitUntilCommitted) {
   group.Wait();  // returns only after the committed task actually ran
   EXPECT_TRUE(ran.load());
   committer.join();
+}
+
+// A foreign committer can be the last thread inside a group: once its task
+// ran, Wait returns and the owner may destroy the group while
+// CommitDeferred is still unwinding. CommitDeferred must not read the group
+// after publishing the task; ThreadSanitizer reports the race if it does.
+TEST(TaskGroup, GroupMayBeDestroyedWhileAForeignCommitUnwinds) {
+  for (int threads : {1, 2}) {
+    ThreadPool pool(threads);
+    for (int round = 0; round < 200; ++round) {
+      auto group = std::make_unique<ThreadPool::TaskGroup>(pool);
+      group->ReserveDeferred();
+      std::atomic<bool> ran{false};
+      std::thread committer([g = group.get(), &ran] {
+        g->CommitDeferred([&ran] { ran.store(true); });
+      });
+      group->Wait();
+      group.reset();
+      committer.join();
+      EXPECT_TRUE(ran.load()) << "threads=" << threads << " round=" << round;
+    }
+  }
 }
 
 TEST(TaskGroup, AbandonDeferredReleasesTheReservation) {
