@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks for the P2 building blocks: placement
-// enumeration, collective-semantics checking, grouping, synthesis, lowering,
-// the analytic cost model and the flow-level substrate (a simulation, and a
-// hit in the executor's step memo).
+// enumeration, collective-semantics checking, grouping, synthesis, lowering
+// (the uncached reference, and a lowering-memo hit plus the per-placement
+// build), the analytic cost model and the flow-level substrate (a
+// simulation, and a hit in the executor's step memo).
 #include <benchmark/benchmark.h>
 
 #include <optional>
@@ -79,6 +80,25 @@ void BM_LowerProgram(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LowerProgram);
+
+// The pipeline's path for the same program: a hit in a warm LoweringMemo,
+// then the program's steps built into a fresh PlacementSteps, as on the
+// program's first appearance in a placement.
+void BM_LowerProgramMemoHit(benchmark::State& state) {
+  const core::ParallelismMatrix m({{2, 4}, {2, 4}});
+  const std::vector<int> axes = {0};
+  const auto sh = core::SynthesisHierarchy::Build(
+      m, axes, core::SynthesisHierarchyKind::kReductionAxes);
+  const auto program = *engine::ReduceScatterAllReduceAllGather(sh);
+  core::LoweringMemo memo;
+  memo.Fractions(sh.levels(), program);
+  for (auto _ : state) {
+    core::PlacementSteps steps(sh);
+    benchmark::DoNotOptimize(
+        steps.Lower(program, memo.Fractions(sh.levels(), program)));
+  }
+}
+BENCHMARK(BM_LowerProgramMemoHit);
 
 void BM_CostModelPredict(benchmark::State& state) {
   const cost::CostModel model(topology::MakeA100Cluster(4));

@@ -90,11 +90,6 @@ std::vector<core::ParallelismMatrix> Engine::SynthesizePlacements(
   return core::EnumeratePlacements(cluster_.hierarchy(), axes);
 }
 
-ProgramEvaluation Engine::EvaluateProgram(const core::SynthesisHierarchy& sh,
-                                          const core::Program& program) const {
-  return EvaluateProgramOnEngine(*this, sh, program, options_.measure);
-}
-
 PlacementEvaluation Engine::EvaluatePlacement(
     const core::ParallelismMatrix& matrix,
     std::span<const int> reduction_axes) const {

@@ -184,10 +184,6 @@ class Engine {
   ExperimentResult RunExperiment(std::span<const std::int64_t> axes,
                                  std::span<const int> reduction_axes) const;
 
-  /// Evaluates a single DSL program on a placement (used by examples).
-  ProgramEvaluation EvaluateProgram(const core::SynthesisHierarchy& sh,
-                                    const core::Program& program) const;
-
  private:
   topology::Cluster cluster_;
   EngineOptions options_;

@@ -7,6 +7,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -21,6 +22,10 @@
 
 namespace p2::engine {
 
+Pipeline::Pipeline(PlannerService& service, const Engine& engine,
+                   PipelineOptions options)
+    : service_(service), engine_(engine), options_(options) {}
+
 namespace {
 
 double SecondsSince(std::chrono::steady_clock::time_point start) {
@@ -28,93 +33,90 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-// The shared per-program evaluation, taking an already-lowered program so
-// callers holding a lowering (the guided path keeps them for measurement)
-// never lower twice.
-ProgramEvaluation EvaluateLowered(const Engine& engine,
-                                  const core::SynthesisHierarchy& sh,
-                                  const core::Program& program,
-                                  const core::LoweredProgram& lowered,
-                                  bool measure) {
-  ProgramEvaluation eval;
-  eval.program = program;
-  eval.text = core::ToString(program, sh.level_names());
-  eval.num_steps = static_cast<int>(program.size());
-  eval.predicted_seconds = engine.cost_model().PredictProgram(
-      lowered, engine.payload_bytes(), engine.options().algo);
-  if (measure) {
-    eval.measured_seconds = engine.executor().MeasureProgram(
-        lowered, engine.payload_bytes(), engine.options().algo);
-    eval.measured = true;
-  }
-  return eval;
-}
-
-}  // namespace
-
-ProgramEvaluation EvaluateProgramOnEngine(const Engine& engine,
-                                          const core::SynthesisHierarchy& sh,
-                                          const core::Program& program,
-                                          bool measure) {
-  return EvaluateLowered(engine, sh, program, core::LowerProgram(sh, program),
-                         measure);
-}
-
-Pipeline::Pipeline(PlannerService& service, const Engine& engine,
-                   PipelineOptions options)
-    : service_(service), engine_(engine), options_(options) {}
-
-namespace {
-
 // Lowers, predicts and (guided-)measures every program of one placement,
 // given its synthesis: the per-placement evaluation of Pipeline::Run and of
-// EvaluateUncachedPlacement.
+// EvaluateUncachedPlacement. Each program's synthesis-level replay comes
+// from `memo`; each distinct step is built once and predicted once per
+// placement (core::PlacementSteps), and every program's prediction and
+// measurement add the same doubles in the same order as
+// CostModel::PredictProgram and Executor::MeasureProgram on LowerProgram's
+// steps.
 PlacementEvaluation EvaluateSynthesized(const Engine& engine,
+                                        core::LoweringMemo& memo,
                                         const core::ParallelismMatrix& matrix,
                                         const core::SynthesisHierarchy& sh,
                                         const core::SynthesisResult& synthesis,
                                         int measure_top_k) {
   const bool guided = measure_top_k >= 0;
   const bool measure_all = !guided && engine.options().measure;
+  const double payload = engine.payload_bytes();
+  const core::NcclAlgo algo = engine.options().algo;
 
   PlacementEvaluation eval;
   eval.matrix = matrix;
   eval.synthesis_seconds = synthesis.stats.seconds;
   eval.synthesis_stats = synthesis.stats;
 
-  // Every program is lowered exactly once: the lowering backs the dedup
-  // check, the prediction, and — kept in `lowered` under guided evaluation —
-  // the top-k measurement pass, which used to re-lower its candidates.
-  std::vector<core::LoweredProgram> lowered;
-  lowered.reserve(synthesis.programs.size() + 1);
+  core::PlacementSteps steps(sh);
+  std::vector<std::optional<double>> predicted;  // by step id
+  // Each evaluated program's step ids, kept for the guided top-k
+  // measurement pass below.
+  std::vector<std::vector<std::size_t>> step_ids;
+  step_ids.reserve(synthesis.programs.size() + 1);
+  const auto measure_steps = [&](const std::vector<std::size_t>& ids) {
+    double total = 0.0;
+    for (const std::size_t id : ids) {
+      total += engine.executor().MeasureStep(steps.step(id), payload, algo);
+    }
+    return total;
+  };
+  const auto evaluate = [&](const core::Program& program,
+                            std::vector<std::size_t> ids) {
+    ProgramEvaluation& e = eval.programs.emplace_back();
+    e.program = program;
+    e.text = core::ToString(program, sh.level_names());
+    e.num_steps = static_cast<int>(program.size());
+    predicted.resize(steps.size());
+    double total = 0.0;
+    for (const std::size_t id : ids) {
+      if (!predicted[id]) {
+        predicted[id] =
+            engine.cost_model().PredictStep(steps.step(id), payload, algo);
+      }
+      total += *predicted[id];
+    }
+    e.predicted_seconds = total;
+    if (measure_all) {
+      e.measured_seconds = measure_steps(ids);
+      e.measured = true;
+    }
+    step_ids.push_back(std::move(ids));
+  };
 
   // The default AllReduce always comes first; the synthesizer also finds it,
   // so drop the duplicate from the synthesized list.
   const core::Program default_ar = DefaultAllReduceProgram();
-  lowered.push_back(core::LowerProgram(sh, default_ar));
-  eval.programs.push_back(EvaluateLowered(engine, sh, default_ar,
-                                          lowered.front(), measure_all));
+  evaluate(default_ar,
+           steps.Lower(default_ar, memo.Fractions(sh.levels(), default_ar)));
   eval.programs.front().is_default_allreduce = true;
+  const std::size_t default_step = step_ids.front().front();
 
   for (const core::Program& p : synthesis.programs) {
-    auto lowered_p = core::LowerProgram(sh, p);
-    // lowered.front() is re-fetched per iteration: the vector grows inside
-    // this loop, so a reference held across iterations could dangle.
-    if (lowered_p.steps.size() == 1 &&
-        lowered_p.steps[0].op == core::Collective::kAllReduce &&
-        lowered_p.steps[0].groups == lowered.front().steps[0].groups) {
+    std::vector<std::size_t> ids =
+        steps.Lower(p, memo.Fractions(sh.levels(), p));
+    if (ids.size() == 1 &&
+        steps.step(ids[0]).op == core::Collective::kAllReduce &&
+        steps.step(ids[0]).groups == steps.step(default_step).groups) {
       // A one-step program with the same lowered groups *is* the default.
       continue;
     }
-    eval.programs.push_back(
-        EvaluateLowered(engine, sh, p, lowered_p, measure_all));
-    lowered.push_back(std::move(lowered_p));
+    evaluate(p, std::move(ids));
   }
 
   if (guided) {
     // Measure the default AllReduce and the top-k by prediction (stable on
     // prediction ties, so the measured set is deterministic), reusing the
-    // lowerings from the predict pass above.
+    // steps from the predict pass above.
     std::vector<int> order(eval.programs.size());
     for (std::size_t i = 0; i < order.size(); ++i) {
       order[i] = static_cast<int>(i);
@@ -126,9 +128,8 @@ PlacementEvaluation EvaluateSynthesized(const Engine& engine,
     auto measure = [&](int index) {
       auto& p = eval.programs[static_cast<std::size_t>(index)];
       if (p.measured) return;
-      p.measured_seconds = engine.executor().MeasureProgram(
-          lowered[static_cast<std::size_t>(index)], engine.payload_bytes(),
-          engine.options().algo);
+      p.measured_seconds =
+          measure_steps(step_ids[static_cast<std::size_t>(index)]);
       p.measured = true;
     };
     measure(0);  // the baseline is always measured
@@ -177,8 +178,9 @@ PlacementEvaluation EvaluateUncachedPlacement(
   const auto sh = core::SynthesisHierarchy::Build(
       matrix, reduction_axes, engine.options().hierarchy_kind,
       engine.options().collapse_hierarchy);
+  core::LoweringMemo memo;
   return EvaluateSynthesized(
-      engine, matrix, sh,
+      engine, memo, matrix, sh,
       core::SynthesizePrograms(sh, engine.options().synthesis),
       measure_top_k);
 }
@@ -346,9 +348,9 @@ ExperimentResult Pipeline::Run(std::span<const std::int64_t> axes,
         MaybeInjectFault("pipeline.evaluate");
         options_.cancel.ThrowIfCancelled();
         const auto eval_start = std::chrono::steady_clock::now();
-        result.placements[i] =
-            EvaluateSynthesized(engine_, placements[i], hierarchies[i],
-                                *synthesis[i], options_.measure_top_k);
+        result.placements[i] = EvaluateSynthesized(
+            engine_, service_.lowering_memo(), placements[i],
+            hierarchies[i], *synthesis[i], options_.measure_top_k);
         eval_seconds[i] = SecondsSince(eval_start);
       });
     }

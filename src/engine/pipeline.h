@@ -5,6 +5,9 @@
 //     -> synthesize once per signature (memoized in the service's shared
 //        SynthesisCache, with cross-request in-flight dedup)
 //     -> lower / predict / (guided-)measure every placement, in parallel
+//        (each program's synthesis-level replay memoized in the service's
+//        shared core::LoweringMemo; each distinct step built and predicted
+//        once per placement)
 //     -> merge in placement order
 //
 // A Pipeline is stateless: it borrows the process-wide cache and worker
@@ -81,14 +84,6 @@ class Pipeline {
   const Engine& engine_;
   PipelineOptions options_;
 };
-
-/// Lowers, predicts and optionally measures one program on the engine's cost
-/// model and runtime substrate (the shared per-program evaluation of every
-/// pipeline stage and of Engine::EvaluateProgram).
-ProgramEvaluation EvaluateProgramOnEngine(const Engine& engine,
-                                          const core::SynthesisHierarchy& sh,
-                                          const core::Program& program,
-                                          bool measure);
 
 /// The cacheless per-placement reference behind Engine::EvaluatePlacement
 /// [Guided]: synthesizes the placement's own hierarchy on the calling thread

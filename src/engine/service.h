@@ -16,6 +16,10 @@
 //     │                      reduction factorizations dedup against each
 //     │                      other (cross-tenant hits), with in-flight
 //     │                      synthesis dedup and an optional LRU entry cap
+//     ├─ LoweringMemo        ONE per process too: each distinct
+//     │                      (levels, program) synthesis-level replay, which
+//     │                      every placement, request and tenant sharing the
+//     │                      levels reuses
 //     ├─ ThreadPool          one shared worker pool; concurrent requests'
 //     │                      work items interleave fairly (round-robin per
 //     │                      TaskGroup), no per-query thread spawning
@@ -62,6 +66,7 @@
 #include "common/cancel.h"
 #include "common/histogram.h"
 #include "common/thread_pool.h"
+#include "core/lowering.h"
 #include "engine/cache_store.h"
 #include "engine/engine.h"
 #include "engine/synthesis_cache.h"
@@ -329,6 +334,11 @@ class PlannerService {
   const SynthesisCache& cache() const { return cache_; }
   /// The shared worker pool (per-query executors borrow it via TaskGroups).
   ThreadPool& pool() { return pool_; }
+  /// The process-wide memo of synthesis-level program replays
+  /// (core::LoweringMemo), shared by every request and tenant: a replay
+  /// depends only on the hierarchy's levels and the program, never on the
+  /// cluster.
+  core::LoweringMemo& lowering_memo() { return lowering_memo_; }
 
   /// Resolves `cluster` to its tenant engine, registering it (and
   /// constructing the Engine, exactly once even under races) if the
@@ -451,6 +461,7 @@ class PlannerService {
 
   PlannerServiceOptions options_;
   SynthesisCache cache_;
+  core::LoweringMemo lowering_memo_;
   std::optional<CacheStore> store_;
   ThreadPool pool_;
   std::atomic<std::int64_t> requests_{0};

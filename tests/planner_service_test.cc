@@ -1,9 +1,9 @@
 // The process-wide planning service (ISSUE 4): concurrent Submit()s share
-// one synthesis cache and one worker pool, their work items interleave on
-// it, and yet every query's output is byte-identical to a serial run — at
-// any service thread count and under any submission order. Two queries
-// racing on one uncached signature synthesize it exactly once (in-flight
-// dedup), asserted via the cache misses.
+// one synthesis cache, one lowering memo and one worker pool, their work
+// items interleave on it, and yet every query's output is byte-identical to
+// a serial run — at any service thread count and under any submission
+// order. Two queries racing on one uncached signature synthesize it exactly
+// once (in-flight dedup), asserted via the cache misses.
 #include "engine/service.h"
 
 #include <gtest/gtest.h>
@@ -71,6 +71,9 @@ TEST(PlannerService, ConcurrentSubmissionIsDeterministic) {
   }
 
   std::mt19937 rng(20260729);
+  // The distinct (levels, program) replays the configs need, as stored by
+  // the first, serial round; every round's lowering memo must hold as many.
+  std::size_t serial_memoized = 0;
   for (const int threads : {1, 4, 8}) {
     // Identity order plus two random submission orders per thread count:
     // neither scheduling nor submission order may leak into any result.
@@ -82,14 +85,28 @@ TEST(PlannerService, ConcurrentSubmissionIsDeterministic) {
       PlannerService service(engine,
                              PlannerServiceOptions{.threads = threads});
       std::vector<PlanHandle> futures(configs.size());
+      // The first config goes in twice in a row, so two requests race on
+      // the same placements' memo keys.
+      PlanHandle duplicate;
       for (const std::size_t index : order) {
         futures[index] = service.Submit(RequestFor(configs[index]));
+        if (index == order.front()) {
+          duplicate = service.Submit(RequestFor(configs[index]));
+        }
       }
       for (std::size_t i = 0; i < configs.size(); ++i) {
         EXPECT_EQ(CanonicalResultText(futures[i].get()), reference[i])
             << "config " << i << ", threads=" << threads
             << ", round=" << round;
       }
+      EXPECT_EQ(CanonicalResultText(duplicate.get()), reference[order.front()])
+          << "duplicate, threads=" << threads << ", round=" << round;
+
+      const std::size_t memoized = service.lowering_memo().memoized_programs();
+      if (threads == 1 && round == 0) serial_memoized = memoized;
+      EXPECT_GT(memoized, 0u);
+      EXPECT_EQ(memoized, serial_memoized)
+          << "threads=" << threads << ", round=" << round;
     }
   }
 }
