@@ -69,8 +69,6 @@
 #include <cmath>
 #include <cstdio>
 #include <memory>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <future>
 #include <random>
@@ -81,6 +79,7 @@
 #include <vector>
 
 #include "common/fault_injection.h"
+#include "common/flags.h"
 #include "common/format.h"
 #include "engine/experiment_grid.h"
 #include "engine/report.h"
@@ -442,15 +441,35 @@ bool SameResults(const std::vector<ExperimentResult>& a,
 }  // namespace
 
 int main(int argc, char** argv) {
-  int threads = 4;
   std::string json_path = "BENCH_pipeline.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    } else {
-      threads = std::max(1, std::atoi(argv[i]));
-    }
+  std::vector<std::string> positional;
+  std::string error;
+  if (!p2::ParseFlags({argv + 1, argv + argc},
+                      {{"json", &json_path,
+                        "write the JSON results to PATH\n"
+                        "(default BENCH_pipeline.json)"}},
+                      "bench_pipeline: the planning pipeline's variants and "
+                      "gates\n"
+                      "\n"
+                      "usage: bench_pipeline [THREADS] [FLAGS]\n"
+                      "  THREADS       the shared pool's worker threads "
+                      "(default 4)\n",
+                      &positional, &error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 2;
   }
+  if (positional.size() > 1) {
+    std::fprintf(stderr, "THREADS given more than once\n");
+    return 2;
+  }
+  std::int64_t threads_arg = 4;
+  if (!positional.empty() &&
+      !p2::ParseFlagInt(positional[0], 1, p2::kMaxFlagThreads, &threads_arg)) {
+    std::fprintf(stderr, "THREADS takes integers in [1, %d], got \"%s\"\n",
+                 p2::kMaxFlagThreads, positional[0].c_str());
+    return 2;
+  }
+  const int threads = static_cast<int>(threads_arg);
 
   EngineOptions opts;
   opts.payload_bytes = 1e9;

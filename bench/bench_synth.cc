@@ -9,19 +9,20 @@
 // Reported per case: programs found, both wall-clocks, the speedup, the
 // table counters, and whether the program lists are byte-identical (they
 // must be — the differential test asserts the same, this reports it under
-// bench sizes).
+// bench sizes). The same figures per case (programs, search seconds,
+// states_visited, states/s, identical) go to BENCH_synth.json for the
+// bench ledger.
 //
-//   bench_synth            full grid (depth 2-4, paper-default size 5)
-//   bench_synth --smoke    CI-sized grid; exits non-zero when the search
-//                          stops beating the DFS by the guard margin or any
-//                          program list diverges
-//   bench_synth --threads=N  fan the frontier expansion over N workers
+//   bench_synth              full grid (depth 2-4, paper-default size 5)
+//   bench_synth --smoke      CI-sized grid; exits non-zero when the search
+//                            stops beating the DFS by the guard margin or
+//                            any program list diverges
+//   bench_synth --json=PATH  write the JSON to PATH instead
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/format.h"
 #include "core/synthesizer.h"
 #include "engine/report.h"
@@ -74,16 +75,21 @@ std::vector<BenchCase> MakeGrid(bool smoke) {
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  int threads = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = std::max(1, std::atoi(argv[i] + 10));
-    } else {
-      std::fprintf(stderr, "usage: bench_synth [--smoke] [--threads=N]\n");
-      return 2;
-    }
+  std::string json_path = "BENCH_synth.json";
+  const std::vector<p2::Flag> flags = {
+      {"smoke", &smoke,
+       "run the CI-sized grid and fail on a speedup below the guard"},
+      {"json", &json_path, "write the JSON results to PATH\n"
+                           "(default BENCH_synth.json)"},
+  };
+  std::string error;
+  if (!p2::ParseFlags({argv + 1, argv + argc}, flags,
+                      "bench_synth: transposition search vs reference DFS\n"
+                      "\n"
+                      "usage: bench_synth [FLAGS]\n",
+                      nullptr, &error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 2;
   }
 
   // The guard margin for --smoke, applied to the cases flagged `guard`.
@@ -92,12 +98,12 @@ int main(int argc, char** argv) {
   constexpr double kSmokeMinSpeedup = 2.0;
 
   const auto grid = MakeGrid(smoke);
-  std::printf("Synthesis bench (%s): transposition search vs reference DFS, "
-              "%d thread%s\n\n",
-              smoke ? "smoke" : "full", threads, threads == 1 ? "" : "s");
+  std::printf("Synthesis bench (%s): transposition search vs reference DFS\n\n",
+              smoke ? "smoke" : "full");
 
   p2::TextTable table({"Hierarchy", "Programs", "DFS(s)", "Search(s)",
                        "Speedup", "States", "Transp.", "Replays", "Identical"});
+  std::string json_cases;
   bool all_identical = true;
   bool fast_enough = true;
   for (const auto& c : grid) {
@@ -106,7 +112,6 @@ int main(int argc, char** argv) {
     SynthesisOptions options;
     options.max_program_size = c.max_program_size;
     const auto reference = SynthesizeProgramsReference(sh, options);
-    options.threads = threads;
     const auto search = SynthesizePrograms(sh, options);
 
     const bool identical = search.programs == reference.programs;
@@ -124,8 +129,35 @@ int main(int argc, char** argv) {
                   std::to_string(search.stats.states_deduped),
                   std::to_string(search.stats.branches_pruned),
                   identical ? "yes" : "NO"});
+
+    char line[512];
+    std::snprintf(
+        line, sizeof(line),
+        "%s    {\"name\": \"%s\", \"max_program_size\": %d, "
+        "\"programs\": %zu, \"search_seconds\": %.6f, "
+        "\"states_visited\": %lld, \"states_per_s\": %.1f, "
+        "\"identical\": %s}",
+        json_cases.empty() ? "" : ",\n", c.name.c_str(), c.max_program_size,
+        search.programs.size(), search.stats.seconds,
+        static_cast<long long>(search.stats.states_visited),
+        search.stats.seconds > 0.0
+            ? static_cast<double>(search.stats.states_visited) /
+                  search.stats.seconds
+            : 0.0,
+        identical ? "true" : "false");
+    json_cases += line;
   }
   std::printf("%s\n", table.Render().c_str());
+
+  FILE* f = std::fopen(json_path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
+    return 1;
+  }
+  std::fprintf(f, "{\n  \"grid\": \"%s\",\n  \"cases\": [\n%s\n  ]\n}\n",
+               smoke ? "smoke" : "full", json_cases.c_str());
+  std::fclose(f);
+  std::printf("wrote %s\n", json_path.c_str());
 
   if (!all_identical) {
     std::printf("FAIL: program lists diverge from the reference DFS\n");

@@ -13,14 +13,12 @@ ThreadPool::ThreadPool(int num_threads) {
 }
 
 ThreadPool::~ThreadPool() {
-  // Members (default_group_ included) are destroyed only after this body,
-  // so queued tasks may still exist here. The workers drain them: the wait
+  // Queued tasks may still exist here. The workers drain them: the wait
   // predicate below lets a worker exit only once ready_ is empty, so every
-  // queued task of every surviving group runs before the joins return, and
-  // default_group_'s destructor (the first member teardown) finds nothing
-  // left to wait for. The pool must outlive caller-owned groups — their
-  // destructors touch pool state — so destroy every group before its pool
-  // (as PlannerService does by declaring request_tasks_ after pool_).
+  // queued task of every surviving group runs before the joins return. The
+  // pool must outlive its groups — their destructors touch pool state — so
+  // destroy every group before its pool (as PlannerService does by
+  // declaring request_tasks_ after pool_).
   {
     std::unique_lock<std::mutex> lock(mu_);
     shutting_down_ = true;
@@ -211,25 +209,6 @@ void ThreadPool::TaskGroup::Wait(const CancelToken& token,
   const std::exception_ptr error = std::exchange(first_error_, nullptr);
   lock.unlock();
   if (error != nullptr) std::rethrow_exception(error);
-}
-
-void ThreadPool::TaskGroup::ParallelFor(
-    std::int64_t n, const std::function<void(std::int64_t)>& fn) {
-  for (std::int64_t i = 0; i < n; ++i) {
-    Submit([&fn, i] { fn(i); });
-  }
-  Wait();
-}
-
-void ThreadPool::Submit(std::function<void()> task) {
-  default_group_.Submit(std::move(task));
-}
-
-void ThreadPool::Wait() { default_group_.Wait(); }
-
-void ThreadPool::ParallelFor(std::int64_t n,
-                             const std::function<void(std::int64_t)>& fn) {
-  default_group_.ParallelFor(n, fn);
 }
 
 }  // namespace p2

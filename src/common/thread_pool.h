@@ -1,8 +1,12 @@
 // A fixed-size thread pool shared by every concurrent planning query of a
-// process (engine/service.h): each query submits its independent work items
-// through its own TaskGroup, the workers drain the groups round-robin — so
-// overlapping queries interleave fairly instead of queueing behind each
-// other — and TaskGroup::Wait blocks on exactly its own subset of tasks.
+// process (engine/service.h). Only PlannerService constructs one, sized by
+// PlannerServiceOptions::threads (the planner's one thread count), and a
+// synthesis runs serially inside the service task that owns its signature.
+// Work enters only through a TaskGroup: each query submits its independent
+// work items through its own group, the workers drain the groups
+// round-robin — so overlapping queries interleave fairly instead of
+// queueing behind each other — and TaskGroup::Wait blocks on exactly its
+// own subset of tasks.
 // While waiting, a thread *helps*: it keeps executing pending tasks (from
 // any group) instead of sleeping, which makes it safe for a pool task to
 // submit further tasks and wait on them — the pattern the planning service
@@ -30,9 +34,9 @@ namespace p2 {
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers. With num_threads <= 1 no workers are
-  /// spawned and Submit runs tasks inline — the serial path stays free of
-  /// thread-creation cost; only deferred tasks (ReserveDeferred) queue, to
-  /// be run by the waiting thread.
+  /// spawned and TaskGroup::Submit runs tasks inline — the serial path
+  /// stays free of thread-creation cost; only deferred tasks
+  /// (ReserveDeferred) queue, to be run by the waiting thread.
   explicit ThreadPool(int num_threads);
   ~ThreadPool();
 
@@ -71,12 +75,6 @@ class ThreadPool {
     /// (its own group's first, by round-robin position) instead of
     /// sleeping, so calling Wait from inside a pool task cannot deadlock.
     void Wait();
-
-    /// Runs fn(0..n-1) as n tasks of this group and waits for completion.
-    /// Iterations must be independent; callers that need ordered output
-    /// should write to slot i and merge afterwards.
-    void ParallelFor(std::int64_t n,
-                     const std::function<void(std::int64_t)>& fn);
 
     /// Reserves a slot for a task that is not enqueued yet: Wait() keeps
     /// blocking (and helping) until the reservation is settled by exactly
@@ -124,16 +122,6 @@ class ThreadPool {
     std::exception_ptr first_error_;
   };
 
-  /// Enqueues a task on the pool's built-in default group (the single-query
-  /// legacy interface; the synthesizer's frontier fan-out uses it).
-  void Submit(std::function<void()> task);
-
-  /// Waits for the default group (see TaskGroup::Wait).
-  void Wait();
-
-  /// ParallelFor on the default group.
-  void ParallelFor(std::int64_t n, const std::function<void(std::int64_t)>& fn);
-
  private:
   void WorkerLoop();
   /// Pops the next (round-robin) task and runs it. `lock` must hold mu_ on
@@ -151,9 +139,6 @@ class ThreadPool {
   /// group at the back while it still has work.
   std::deque<TaskGroup*> ready_;
   bool shutting_down_ = false;
-  /// Must be declared after the scheduler state: it is destroyed (and
-  /// drained) first.
-  TaskGroup default_group_{*this};
 };
 
 }  // namespace p2

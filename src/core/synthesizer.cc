@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "common/fault_injection.h"
-#include "common/thread_pool.h"
 #include "core/collective_semantics.h"
 #include "core/device_state.h"
 #include "core/grouping.h"
@@ -47,7 +46,7 @@ constexpr int kNumOps = static_cast<int>(kAllCollectives.size());
 
 // Flat instruction index over the alphabet: pattern-major, collective-minor
 // — exactly the candidate order of the reference DFS, which the transition
-// table and the deterministic merges below preserve.
+// table below preserves.
 Instruction DecodeInstruction(const std::vector<GroupingPattern>& alphabet,
                               std::int32_t index) {
   const GroupingPattern& p =
@@ -100,16 +99,12 @@ using SuffixList = std::vector<Suffix>;
 // by different instruction orders are explored once and replayed everywhere
 // else.
 //
-// Build() grows the table breadth-first: each layer's frontier states are
-// expanded on the thread pool (expansion only *reads* the table — candidate
-// instructions run apply/undo on a private scratch, so workers share
-// nothing mutable), and the successors are interned in a serial merge that
-// walks states in discovery order and instructions in alphabet order. The
-// merge makes state ids, the transition relation, and every statistic a pure
-// function of the synthesis problem — identical at any thread count — which
-// mirrors the evaluation pipeline's parallel-evaluate / deterministic-merge
-// contract. At layer 0 the fan-out is exactly the root-level alphabet
-// branches; deeper layers generalize it to the whole frontier.
+// Build() grows the table breadth-first, one pass per layer: it walks the
+// frontier in discovery order, tries every instruction in alphabet order by
+// apply/undo on one scratch context, and interns each successor the moment
+// it is found, copying the context only when it is new. That order assigns
+// the state ids, so ids, the transition relation and every statistic are a
+// pure function of the synthesis problem.
 class TranspositionTable {
  public:
   TranspositionTable(const std::vector<GroupingPattern>& alphabet,
@@ -121,58 +116,38 @@ class TranspositionTable {
   /// absorbing and never expanded). `cancel` is observed between layers and
   /// per frontier-state expansion; an aborted build throws the token's
   /// error with the table half-grown (the caller discards it).
-  void Build(const StateContext& initial, ThreadPool& pool,
-             const CancelToken& cancel) {
-    StateContext root = initial;
-    std::vector<int> layer = {Intern(std::move(root))};
+  void Build(const StateContext& initial, const CancelToken& cancel) {
+    std::vector<int> layer = {Intern(initial)};
     const std::int64_t num_instructions =
         static_cast<std::int64_t>(alphabet_.size()) * kNumOps;
     for (int depth = 0; depth < max_length_ && !layer.empty(); ++depth) {
       MaybeInjectFault("synth.layer");
       cancel.ThrowIfCancelled();
-      // Parallel phase: expand each frontier state into its successor
-      // contexts. Slot i belongs to layer[i] alone and states_ does not
-      // grow here, so workers race on nothing.
-      std::vector<std::vector<std::pair<std::int32_t, StateContext>>>
-          expanded(layer.size());
-      pool.ParallelFor(
-          static_cast<std::int64_t>(layer.size()), [&](std::int64_t i) {
-            cancel.ThrowIfCancelled();
-            const int id = layer[static_cast<std::size_t>(i)];
-            if (is_goal_[static_cast<std::size_t>(id)]) return;
-            auto& out = expanded[static_cast<std::size_t>(i)];
-            StateContext scratch = states_[static_cast<std::size_t>(id)];
-            ApplyUndo undo;
-            std::int32_t instr = 0;
-            for (const GroupingPattern& p : alphabet_) {
-              for (Collective op : kAllCollectives) {
-                if (ApplyCollectiveToGroups(op, scratch, p.groups, undo)
-                        .ok()) {
-                  out.emplace_back(instr, scratch);
-                  undo.RevertInto(scratch);
-                }
-                ++instr;
-              }
-            }
-          });
-      // Serial merge, in (frontier order, alphabet order): intern successors
-      // and record the transition lists. First-discovery order assigns ids.
       std::vector<int> next;
-      for (std::size_t i = 0; i < layer.size(); ++i) {
-        const int id = layer[i];
+      for (const int id : layer) {
+        cancel.ThrowIfCancelled();
         if (is_goal_[static_cast<std::size_t>(id)]) continue;
-        stats.instructions_tried += num_instructions;
-        stats.applications_succeeded +=
-            static_cast<std::int64_t>(expanded[i].size());
+        // A copy, not a reference: interning below may grow states_.
+        StateContext scratch = states_[static_cast<std::size_t>(id)];
+        ApplyUndo undo;
         auto succ =
             std::make_unique<std::vector<std::pair<std::int32_t, int>>>();
-        succ->reserve(expanded[i].size());
-        for (auto& [instr, ctx] : expanded[i]) {
-          const std::size_t before = states_.size();
-          const int succ_id = Intern(std::move(ctx));
-          if (states_.size() > before) next.push_back(succ_id);
-          succ->emplace_back(instr, succ_id);
+        std::int32_t instr = 0;
+        for (const GroupingPattern& p : alphabet_) {
+          for (Collective op : kAllCollectives) {
+            if (ApplyCollectiveToGroups(op, scratch, p.groups, undo).ok()) {
+              const std::size_t before = states_.size();
+              const int succ_id = Intern(scratch);
+              if (states_.size() > before) next.push_back(succ_id);
+              succ->emplace_back(instr, succ_id);
+              undo.RevertInto(scratch);
+            }
+            ++instr;
+          }
         }
+        stats.instructions_tried += num_instructions;
+        stats.applications_succeeded +=
+            static_cast<std::int64_t>(succ->size());
         successors_[static_cast<std::size_t>(id)] = std::move(succ);
       }
       layer = std::move(next);
@@ -216,9 +191,9 @@ class TranspositionTable {
   SynthesisStats stats;  ///< the counters the table owns (see header)
 
  private:
-  /// Returns the id of `ctx`, interning it if unseen (a transposition
-  /// otherwise). Only called from the serial merge.
-  int Intern(StateContext&& ctx) {
+  /// Returns the id of `ctx`, interning a copy of it if unseen (a
+  /// transposition otherwise).
+  int Intern(const StateContext& ctx) {
     std::vector<int>& bucket = ids_by_hash_[HashContext(ctx)];
     for (int id : bucket) {
       if (states_[static_cast<std::size_t>(id)] == ctx) {
@@ -228,7 +203,7 @@ class TranspositionTable {
     }
     const int id = static_cast<int>(states_.size());
     is_goal_.push_back(ctx == goal_);
-    states_.push_back(std::move(ctx));
+    states_.push_back(ctx);
     successors_.emplace_back(nullptr);
     bucket.push_back(id);
     ++stats.states_visited;
@@ -282,9 +257,8 @@ SynthesisResult SynthesizePrograms(const SynthesisHierarchy& sh,
     return result;
   }
 
-  ThreadPool pool(options.threads);
   TranspositionTable table(alphabet, goal, options.max_program_size);
-  table.Build(initial, pool, options.cancel);
+  table.Build(initial, options.cancel);
 
   // Iterative deepening over the program size: the exact-length-d goal
   // completions of the root state *are* the programs of size d, and they

@@ -12,13 +12,14 @@
 //    distinct state via apply/undo, and the exact-length goal completions of
 //    every (state, length) pair are memoized — so sub-states reached by
 //    different instruction orders are explored once and replayed everywhere
-//    else. The table grows breadth-first: each frontier layer (the
-//    root-level alphabet branches at layer 0) is expanded on a ThreadPool
-//    (SynthesisOptions::threads) and interned by a serial merge in
-//    (discovery, alphabet) order, so state ids, programs and stats are
-//    identical at any thread count. Iterative deepening over the program
-//    size then emits the root's completions directly in increasing size
-//    order.
+//    else. The table grows breadth-first in one serial pass per layer that
+//    interns each successor as soon as it is found, in (discovery, alphabet)
+//    order, so state ids, programs and stats are a pure function of the
+//    synthesis problem. The search runs on its caller's thread: in the
+//    planner that is the planning service's task for the signature, so the
+//    service's pool size is the only thread count. Iterative deepening over
+//    the program size then emits the root's completions directly in
+//    increasing size order.
 //
 //  - SynthesizeProgramsReference: the original blind DFS that copies the
 //    full StateContext per candidate. Kept as the differential-testing
@@ -45,18 +46,13 @@ struct SynthesisOptions {
   /// The paper uses 5: "we set 5 as the program size limit ... sufficient to
   /// generate interesting reduction patterns".
   int max_program_size = 5;
-  /// Worker threads for the root-level branch fan-out; <= 1 searches inline.
-  /// The program list and all stats are identical at any thread count, which
-  /// is why SynthesisCache::Key deliberately excludes this field.
-  int threads = 1;
   /// Safety cap on emitted programs.
   std::int64_t max_programs = 1 << 20;
   /// Cooperative-cancellation token (common/cancel.h), checked between
   /// frontier layers, per frontier-state expansion, and per emitted size
   /// class; an aborted search throws the token's error. Null (the default)
-  /// never cancels. Execution-only like `threads`: it cannot change the
-  /// program list of a search that completes, so SynthesisCache keys
-  /// exclude it.
+  /// never cancels. Execution-only: it cannot change the program list of a
+  /// search that completes, so SynthesisCache keys exclude it.
   CancelToken cancel;
 };
 
@@ -108,7 +104,7 @@ SynthesisResult SynthesizePrograms(const SynthesisHierarchy& sh,
 /// The seed's blind DFS (see the file comment). Same program list as
 /// SynthesizePrograms; exponentially slower on deep hierarchies. The
 /// transposition-table stats (states_visited, states_deduped,
-/// branches_pruned) stay zero, and `threads` is ignored.
+/// branches_pruned) stay zero.
 SynthesisResult SynthesizeProgramsReference(const SynthesisHierarchy& sh,
                                             const SynthesisOptions& options = {});
 

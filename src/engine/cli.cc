@@ -142,14 +142,7 @@ std::vector<Flag> CliFlags(CliOptions* o) {
        0},
       {"service-threads", &o->service_threads,
        "size of the planning service's shared worker\n"
-       "pool (default 1; results are identical at any count;\n"
-       "--threads is accepted as a legacy alias)",
-       1, kMaxFlagThreads},
-      {"threads", &o->threads, "legacy alias of --service-threads", 1,
-       kMaxFlagThreads},
-      {"synth-threads", &o->synth_threads,
-       "expand the synthesis search frontier with N worker\n"
-       "threads (default 1; identical output at any count)",
+       "pool (default 1; results are identical at any count)",
        1, kMaxFlagThreads},
       {"fuse", &o->fuse, "fuse consecutive fusible steps before evaluating"},
       {"cache-file", &o->cache_file,
@@ -301,7 +294,6 @@ namespace {
 EngineOptions EngineOptionsFromCli(const CliOptions& options) {
   EngineOptions eng_opts;
   eng_opts.algo = options.algo;
-  eng_opts.synthesis.threads = options.synth_threads;
   if (options.payload_mb > 0) {
     eng_opts.payload_bytes = options.payload_mb * 1e6;
   }
@@ -310,7 +302,7 @@ EngineOptions EngineOptionsFromCli(const CliOptions& options) {
 
 PlannerServiceOptions ServiceOptionsFromCli(const CliOptions& options) {
   PlannerServiceOptions svc;
-  svc.threads = options.EffectiveServiceThreads();
+  svc.threads = options.service_threads;
   svc.cache_file = options.cache_file;
   svc.cache_readonly = options.cache_readonly;
   svc.cache_max_entries = options.cache_max_entries;

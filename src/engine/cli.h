@@ -47,9 +47,7 @@ struct CliOptions {
   core::NcclAlgo algo = core::NcclAlgo::kRing;
   std::int64_t payload_mb = 0;  // 0 => the paper's default
   int top_k = 0;            // 0 => measure everything
-  int threads = 1;          // legacy alias for service_threads
-  int service_threads = 0;  // shared service pool; 0 => use `threads`
-  int synth_threads = 1;    // synthesis frontier-expansion threads
+  int service_threads = 1;  // the shared service pool's worker threads
   bool fuse = false;        // apply the fusion pass before evaluation
   bool grid = false;        // run the full experiment grid concurrently
   std::string cache_file;   // persistent synthesis cache (empty = off)
@@ -59,11 +57,6 @@ struct CliOptions {
   std::int64_t deadline_ms = 0;     // per-request deadline; 0 = none
   std::int64_t max_in_flight = 0;   // service admission cap; 0 = unbounded
   std::int64_t drain_grace_ms = -1;  // shutdown grace; -1 = wait forever
-
-  /// The shared pool size the service actually gets.
-  int EffectiveServiceThreads() const {
-    return service_threads > 0 ? service_threads : threads;
-  }
 };
 
 /// Parses argv-style arguments. On error returns std::nullopt and fills

@@ -111,9 +111,7 @@ ExperimentResult Engine::RunExperiment(
     std::span<const int> reduction_axes) const {
   // A transient service per call: callers that want cross-query sharing
   // (one cache, one pool) hold a PlannerService themselves and Submit.
-  PlannerServiceOptions service_options;
-  service_options.threads = options_.threads;
-  PlannerService service(*this, service_options);
+  PlannerService service(*this);
   PlanRequest request;
   request.axes.assign(axes.begin(), axes.end());
   request.reduction_axes.assign(reduction_axes.begin(), reduction_axes.end());

@@ -33,10 +33,6 @@ struct EngineOptions {
       core::SynthesisHierarchyKind::kReductionAxes;
   /// Skip the runtime-substrate measurement (prediction only).
   bool measure = true;
-  /// Worker threads for the per-placement evaluation stage of RunExperiment
-  /// (engine/pipeline.h); <= 1 evaluates serially. Results are merged in
-  /// placement order, so the output is identical at any thread count.
-  int threads = 1;
 };
 
 /// Stage and cache statistics of the evaluation pipeline run that produced
@@ -178,9 +174,10 @@ class Engine {
       std::span<const int> reduction_axes, int measure_top_k) const;
 
   /// Full experiment over every placement of `axes`, through the
-  /// pipeline (engine/pipeline.h): placements inducing isomorphic synthesis
-  /// hierarchies share one synthesis run, and evaluation uses
-  /// `options().threads` workers. Output is identical at any thread count.
+  /// pipeline (engine/pipeline.h) of a transient one-thread service:
+  /// placements inducing isomorphic synthesis hierarchies share one
+  /// synthesis run. Callers that want a worker pool hold a PlannerService
+  /// (its `threads` option) and Submit; the output is the same.
   ExperimentResult RunExperiment(std::span<const std::int64_t> axes,
                                  std::span<const int> reduction_axes) const;
 

@@ -17,8 +17,8 @@ namespace {
 /// Digest of every EngineOptions field that can change a plan. Appended to
 /// the cluster fingerprint in the tenant key so one machine under two
 /// evaluation configurations gets two engines instead of silently sharing
-/// one. `threads` is excluded: it is an execution-strategy knob with
-/// byte-identical output at any setting.
+/// one. `synthesis.cancel` is excluded: a token cannot change the plan of a
+/// search that completes.
 std::string EngineOptionsDigest(const EngineOptions& options) {
   char payload[40];
   std::snprintf(payload, sizeof(payload), "%.17g", options.payload_bytes);

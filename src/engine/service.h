@@ -120,7 +120,9 @@ PlanOutcome ClassifyPlanError(std::exception_ptr error);
 
 struct PlannerServiceOptions {
   /// Worker threads of the shared pool; <= 1 runs every request inline on
-  /// the submitting thread (Submit still returns a — ready — future).
+  /// the submitting thread (Submit still returns a — ready — future). The
+  /// planner's only thread count: each synthesis runs serially inside the
+  /// pool task that owns its signature.
   int threads = 1;
   /// Path of a persistent synthesis-cache file (engine/cache_store.h). The
   /// service loads it at construction — corrupted or version-mismatched

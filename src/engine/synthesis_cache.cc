@@ -116,25 +116,17 @@ std::string SynthesisCache::BaseKey(const core::SynthesisHierarchy& sh,
                                     const core::SynthesisOptions& options) {
   // Every SynthesisOptions field that can change the program list must
   // appear in the key or be bridged by subsumption, or two queries with
-  // different options would silently share program sets. `threads` is
-  // deliberately excluded: the transposition search's output and stats are
-  // identical at any thread count (tests/synth_differential_test.cc proves
-  // it), so caching per thread count would only split the cache.
-  // `max_programs` is excluded *here* because entries record the cap they
-  // were synthesized under and smaller caps are served by truncation (the
-  // size-ordered program list makes the truncation exact); it still appears
-  // in the full Key() so persisted entries keep their cap. The assert fires
-  // when a field is added without revisiting this function.
-  // `cancel` is excluded for the same reason as `threads`: it is pure
-  // execution strategy — a search that *completes* returns the same program
-  // list with or without a token, and an aborted search publishes nothing.
-  static_assert(sizeof(core::SynthesisOptions) ==
-                    4 * sizeof(std::int64_t),  // int max_program_size
-                                               // + int threads (excluded)
-                                               // + int64 max_programs
-                                               // + CancelToken (excluded)
-                "new SynthesisOptions field? include it in the cache key");
-  return sh.Signature() + ";size<=" + std::to_string(options.max_program_size);
+  // different options would silently share program sets. `max_programs` is
+  // excluded *here* because entries record the cap they were synthesized
+  // under and smaller caps are served by truncation (the size-ordered
+  // program list makes the truncation exact); it still appears in the full
+  // Key() so persisted entries keep their cap. `cancel` is excluded: it is
+  // pure execution strategy — a search that *completes* returns the same
+  // program list with or without a token, and an aborted search publishes
+  // nothing. The binding below names every member, so a new field, whatever
+  // its size, fails to compile here until this function is revisited.
+  const auto& [max_program_size, max_programs, cancel] = options;
+  return sh.Signature() + ";size<=" + std::to_string(max_program_size);
 }
 
 std::string SynthesisCache::Key(const core::SynthesisHierarchy& sh,

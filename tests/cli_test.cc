@@ -83,10 +83,9 @@ TEST(Cli, RejectsBadValues) {
   EXPECT_FALSE(Parse({"--axes=8,4", "--reduce=0", "bogus"}, &error)
                    .has_value());
   EXPECT_FALSE(Parse({"--axes=-8,4", "--reduce=0"}, &error).has_value());
-  EXPECT_FALSE(Parse({"--axes=8,4", "--reduce=0", "--threads=0"}, &error)
-                   .has_value());
-  EXPECT_FALSE(Parse({"--axes=8,4", "--reduce=0", "--threads=100000"}, &error)
-                   .has_value());
+  EXPECT_FALSE(
+      Parse({"--axes=8,4", "--reduce=0", "--service-threads=100000"}, &error)
+          .has_value());
 }
 
 TEST(Cli, RejectsValuesThatWouldNarrowToInt) {
@@ -106,32 +105,12 @@ TEST(Cli, RejectsValuesThatWouldNarrowToInt) {
   }
 }
 
-TEST(Cli, ParsesThreads) {
-  std::string error;
-  const auto opts =
-      Parse({"--axes=8,4", "--reduce=0", "--threads=8"}, &error);
-  ASSERT_TRUE(opts.has_value()) << error;
-  EXPECT_EQ(opts->threads, 8);
-}
-
 TEST(Cli, ParsesServiceThreads) {
   std::string error;
   const auto opts = Parse(
       {"--axes=8,4", "--reduce=0", "--service-threads=6"}, &error);
   ASSERT_TRUE(opts.has_value()) << error;
   EXPECT_EQ(opts->service_threads, 6);
-  EXPECT_EQ(opts->EffectiveServiceThreads(), 6);
-  // --threads stays accepted as the legacy alias...
-  const auto legacy = Parse({"--axes=8,4", "--reduce=0", "--threads=3"},
-                            &error);
-  ASSERT_TRUE(legacy.has_value()) << error;
-  EXPECT_EQ(legacy->EffectiveServiceThreads(), 3);
-  // ...and --service-threads wins when both are given.
-  const auto both = Parse({"--axes=8,4", "--reduce=0", "--threads=3",
-                           "--service-threads=6"},
-                          &error);
-  ASSERT_TRUE(both.has_value()) << error;
-  EXPECT_EQ(both->EffectiveServiceThreads(), 6);
   EXPECT_FALSE(
       Parse({"--axes=8,4", "--reduce=0", "--service-threads=0"}, &error)
           .has_value());
@@ -308,17 +287,6 @@ TEST(Cli, MultiTopologyGridPlansEveryClusterThroughOneService) {
   EXPECT_NE(output.find("cross-tenant hits"), std::string::npos);
   EXPECT_NE(output.find("tenant 0 ["), std::string::npos);
   EXPECT_NE(output.find("tenant 1 ["), std::string::npos);
-}
-
-TEST(Cli, ParsesSynthThreads) {
-  std::string error;
-  const auto opts = Parse(
-      {"--axes=8,4", "--reduce=0", "--synth-threads=4"}, &error);
-  ASSERT_TRUE(opts.has_value()) << error;
-  EXPECT_EQ(opts->synth_threads, 4);
-  EXPECT_EQ(opts->threads, 1);
-  EXPECT_FALSE(Parse({"--axes=8,4", "--reduce=0", "--synth-threads=0"}, &error)
-                   .has_value());
 }
 
 TEST(Cli, ParsesCacheFlags) {

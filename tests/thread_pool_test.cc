@@ -17,71 +17,59 @@
 namespace p2 {
 namespace {
 
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&count] { count.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, InlineModeRunsTasksImmediately) {
-  ThreadPool pool(1);
-  EXPECT_EQ(pool.num_threads(), 0);  // no workers: Submit runs inline
-  int count = 0;
-  pool.Submit([&count] { ++count; });
-  EXPECT_EQ(count, 1);
-  pool.Wait();
-}
-
-TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
+TEST(TaskGroup, RunsEveryTaskExactlyOnce) {
+  // The pipeline's contract: task i writes slot i, so the merged output is
+  // independent of scheduling.
   for (int threads : {1, 2, 8}) {
     ThreadPool pool(threads);
-    std::vector<std::atomic<int>> seen(257);
-    pool.ParallelFor(257, [&seen](std::int64_t i) {
-      seen[static_cast<std::size_t>(i)].fetch_add(1);
-    });
-    for (const auto& s : seen) EXPECT_EQ(s.load(), 1);
+    ThreadPool::TaskGroup group(pool);
+    std::vector<std::atomic<int>> runs(257);
+    std::vector<std::int64_t> out(257);
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      group.Submit([&runs, &out, i] {
+        runs[i].fetch_add(1);
+        out[i] = static_cast<std::int64_t>(i * i);
+      });
+    }
+    group.Wait();
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      EXPECT_EQ(runs[i].load(), 1) << "threads=" << threads << " task " << i;
+      EXPECT_EQ(out[i], static_cast<std::int64_t>(i * i));
+    }
   }
 }
 
-TEST(ThreadPool, ParallelForWritesSlotsDeterministically) {
-  // The pipeline's contract: iteration i writes slot i, so the merged output
-  // is independent of scheduling.
-  ThreadPool pool(8);
-  std::vector<std::int64_t> out(1000);
-  pool.ParallelFor(1000, [&out](std::int64_t i) { out[static_cast<std::size_t>(i)] = i * i; });
-  for (std::int64_t i = 0; i < 1000; ++i) {
-    EXPECT_EQ(out[static_cast<std::size_t>(i)], i * i);
-  }
-}
-
-TEST(ThreadPool, WaitRethrowsFirstTaskError) {
+TEST(TaskGroup, WaitRethrowsFirstTaskErrorAndGroupStaysUsable) {
   for (int threads : {1, 4}) {
     ThreadPool pool(threads);
-    EXPECT_THROW(pool.ParallelFor(10,
-                                  [](std::int64_t i) {
-                                    if (i == 3) {
-                                      throw std::runtime_error("boom");
-                                    }
-                                  }),
-                 std::runtime_error);
-    // The pool survives an error and keeps accepting work.
+    ThreadPool::TaskGroup group(pool);
+    for (int i = 0; i < 10; ++i) {
+      group.Submit([i] {
+        if (i == 3) throw std::runtime_error("boom");
+      });
+    }
+    EXPECT_THROW(group.Wait(), std::runtime_error);
+    // The error is consumed: the same group keeps accepting work.
     std::atomic<int> count{0};
-    pool.ParallelFor(5, [&count](std::int64_t) { count.fetch_add(1); });
+    for (int i = 0; i < 5; ++i) {
+      group.Submit([&count] { count.fetch_add(1); });
+    }
+    group.Wait();
     EXPECT_EQ(count.load(), 5);
   }
 }
 
-TEST(ThreadPool, ReusableAcrossWaves) {
+TEST(TaskGroup, ReusableAcrossWaves) {
   ThreadPool pool(3);
+  ThreadPool::TaskGroup group(pool);
   std::atomic<std::int64_t> sum{0};
   for (int wave = 0; wave < 5; ++wave) {
-    pool.ParallelFor(10, [&sum](std::int64_t i) { sum.fetch_add(i); });
+    for (std::int64_t i = 0; i < 10; ++i) {
+      group.Submit([&sum, i] { sum.fetch_add(i); });
+    }
+    group.Wait();
+    EXPECT_EQ(sum.load(), (wave + 1) * 45);
   }
-  EXPECT_EQ(sum.load(), 5 * 45);
 }
 
 TEST(TaskGroup, WaitCoversOnlyItsOwnSubset) {
@@ -147,7 +135,10 @@ TEST(TaskGroup, ErrorsAreIsolatedPerGroup) {
     EXPECT_EQ(healthy_done.load(), 10);
     // A failed group keeps working afterwards (first-error-wins, then reset).
     std::atomic<int> again{0};
-    failing.ParallelFor(5, [&again](std::int64_t) { again.fetch_add(1); });
+    for (int i = 0; i < 5; ++i) {
+      failing.Submit([&again] { again.fetch_add(1); });
+    }
+    failing.Wait();
     EXPECT_EQ(again.load(), 5);
   }
 }
@@ -175,6 +166,7 @@ TEST(TaskGroup, WaitHelpsFromInsideAPoolTask) {
 
 TEST(TaskGroup, InlineModeRunsTasksImmediately) {
   ThreadPool pool(1);
+  EXPECT_EQ(pool.num_threads(), 0);  // no workers: Submit runs inline
   ThreadPool::TaskGroup group(pool);
   int count = 0;
   group.Submit([&count] { ++count; });
