@@ -51,7 +51,8 @@
 // must be byte-identical to the serial rendering of the whole grid.
 //
 // Everything is also written machine-readably to BENCH_pipeline.json
-// (override the path with --json=PATH).
+// (override the path with --json=PATH). A path that cannot be opened exits
+// 2 before any variant runs; a failed final write exits 1.
 //
 // Reported per variant: wall-clock, placements evaluated, unique synthesis
 // hierarchies, cache hit rate and the re-synthesis time the cache avoided.
@@ -106,6 +107,24 @@ struct GridConfig {
   std::vector<std::int64_t> axes;
   std::vector<int> reduction_axes;
 };
+
+// The options of a service planning under `engine`'s knobs. Every service
+// variant plans on its own registry-built engine for the cluster its
+// requests name, equal to the serial variant's `engine`.
+PlannerServiceOptions ServiceOptionsFor(const Engine& engine,
+                                        PlannerServiceOptions options = {}) {
+  options.engine = engine.options();
+  return options;
+}
+
+PlanRequest RequestFor(const p2::topology::Cluster& cluster,
+                       const GridConfig& cfg) {
+  PlanRequest request;
+  request.axes = cfg.axes;
+  request.reduction_axes = cfg.reduction_axes;
+  request.cluster = cluster;
+  return request;
+}
 
 // A Table-3-style grid on the racked (three-level) A100 system: several axis
 // configurations, all reducing over a 16-wide axis. Under kReductionAxes the
@@ -180,13 +199,10 @@ VariantResult RunGrid(const Engine& engine,
   // One service for the whole grid: the shared cache carries synthesis
   // results across experiments (e.g. reduce=0 of [8 2 2 2] and of [16 2 2]
   // can share hierarchies).
-  PlannerService service(engine, options);
+  PlannerService service(ServiceOptionsFor(engine, options));
   const auto start = std::chrono::steady_clock::now();
   for (const auto& cfg : grid) {
-    PlanRequest request;
-    request.axes = cfg.axes;
-    request.reduction_axes = cfg.reduction_axes;
-    ExperimentResult result = service.Plan(std::move(request));
+    ExperimentResult result = service.Plan(RequestFor(engine.cluster(), cfg));
     Accumulate(result, &v);
     if (results != nullptr) results->push_back(std::move(result));
   }
@@ -209,18 +225,13 @@ VariantResult RunGridConcurrently(const Engine& engine, int threads,
                                   std::vector<ExperimentResult>* results,
                                   std::int64_t* total_misses) {
   VariantResult v;
-  PlannerService service(engine,
-                         PlannerServiceOptions{.threads = threads,
-                                               .cache_file = {},
-                                               .cache_readonly = false});
+  PlannerService service(
+      ServiceOptionsFor(engine, PlannerServiceOptions{.threads = threads}));
   const auto start = std::chrono::steady_clock::now();
   std::vector<PlanHandle> futures;
   futures.reserve(grid.size());
   for (const auto& cfg : grid) {
-    PlanRequest request;
-    request.axes = cfg.axes;
-    request.reduction_axes = cfg.reduction_axes;
-    futures.push_back(service.Submit(std::move(request)));
+    futures.push_back(service.Submit(RequestFor(engine.cluster(), cfg)));
   }
   for (auto& future : futures) {
     ExperimentResult result = future.get();
@@ -253,11 +264,7 @@ VariantResult RunGridMultiTenant(const std::vector<p2::topology::Cluster>& clust
   futures.reserve(clusters.size() * grid.size());
   for (const auto& cluster : clusters) {
     for (const auto& cfg : grid) {
-      PlanRequest request;
-      request.axes = cfg.axes;
-      request.reduction_axes = cfg.reduction_axes;
-      request.cluster = cluster;
-      futures.push_back(service.Submit(std::move(request)));
+      futures.push_back(service.Submit(RequestFor(cluster, cfg)));
     }
   }
   for (auto& future : futures) {
@@ -318,7 +325,8 @@ ContendedResult RunContended(const Engine& engine, int threads, bool stall,
                              const std::vector<GridConfig>& grid, int copies,
                              const std::vector<ExperimentResult>& serial) {
   ContendedResult r;
-  PlannerService service(engine, PlannerServiceOptions{.threads = threads});
+  PlannerService service(
+      ServiceOptionsFor(engine, PlannerServiceOptions{.threads = threads}));
   // Armed-once: only the FIRST frontier layer to synthesize stalls — the
   // hot-signature owner. (exchange first, so the sleeping call has already
   // disarmed the hook for everyone else.)
@@ -342,12 +350,10 @@ ContendedResult RunContended(const Engine& engine, int threads, bool stall,
   handles.reserve(n);
   std::vector<std::chrono::steady_clock::time_point> submitted(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const auto& cfg = grid[config_of[i]];
-    PlanRequest request;
-    request.axes = cfg.axes;
-    request.reduction_axes = cfg.reduction_axes;
+    const PlanRequest request =
+        RequestFor(engine.cluster(), grid[config_of[i]]);
     submitted[handles.size()] = std::chrono::steady_clock::now();
-    handles.push_back(service.Submit(std::move(request)));
+    handles.push_back(service.Submit(request));
   }
   std::vector<double> latencies(n);
   std::vector<ExperimentResult> results(n);
@@ -395,14 +401,12 @@ bool RunCancelStorm(const Engine& engine, int threads,
                     const std::vector<ExperimentResult>& serial_results,
                     std::int64_t* cancelled_out) {
   std::mt19937 rng(20260808);
-  PlannerService service(engine, PlannerServiceOptions{.threads = threads});
+  PlannerService service(
+      ServiceOptionsFor(engine, PlannerServiceOptions{.threads = threads}));
   std::vector<PlanHandle> handles;
   std::vector<bool> storm;
   for (const auto& cfg : grid) {
-    PlanRequest request;
-    request.axes = cfg.axes;
-    request.reduction_axes = cfg.reduction_axes;
-    handles.push_back(service.Submit(std::move(request)));
+    handles.push_back(service.Submit(RequestFor(engine.cluster(), cfg)));
     storm.push_back(rng() % 2 == 0);
   }
   for (std::size_t i = 0; i < handles.size(); ++i) {
@@ -470,6 +474,13 @@ int main(int argc, char** argv) {
     return 2;
   }
   const int threads = static_cast<int>(threads_arg);
+  // Opened before any work starts, so a path that cannot be written costs
+  // no benchmark run.
+  FILE* json = std::fopen(json_path.c_str(), "w");
+  if (json == nullptr) {
+    std::fprintf(stderr, "--json: cannot write %s\n", json_path.c_str());
+    return 2;
+  }
 
   EngineOptions opts;
   opts.payload_bytes = 1e9;
@@ -521,11 +532,8 @@ int main(int argc, char** argv) {
                                         grid.begin() + kConcurrentQueries);
   std::int64_t independent_misses = 0;
   for (const auto& cfg : queries) {
-    PlannerService service(engine, PlannerServiceOptions{});
-    PlanRequest request;
-    request.axes = cfg.axes;
-    request.reduction_axes = cfg.reduction_axes;
-    const auto result = service.Plan(std::move(request));
+    PlannerService service(ServiceOptionsFor(engine));
+    const auto result = service.Plan(RequestFor(engine.cluster(), cfg));
     independent_misses += result.pipeline.cache.misses;
   }
   std::vector<ExperimentResult> concurrent_results;
@@ -543,17 +551,12 @@ int main(int argc, char** argv) {
   // per-request outputs byte-identical to the dedicated services.
   const auto a100_cluster = p2::topology::MakeA100Cluster(4);
   const auto v100_cluster = p2::topology::MakeV100Cluster(8);
-  const Engine a100_engine(a100_cluster, opts);
-  const Engine v100_engine(v100_cluster, opts);
   std::vector<ExperimentResult> dedicated_results;
   std::int64_t dedicated_misses = 0;
-  for (const Engine* tenant_engine : {&a100_engine, &v100_engine}) {
-    PlannerService service(*tenant_engine, PlannerServiceOptions{});
+  for (const auto& cluster : {a100_cluster, v100_cluster}) {
+    PlannerService service(ServiceOptionsFor(engine));
     for (const auto& cfg : grid) {
-      PlanRequest request;
-      request.axes = cfg.axes;
-      request.reduction_axes = cfg.reduction_axes;
-      dedicated_results.push_back(service.Plan(std::move(request)));
+      dedicated_results.push_back(service.Plan(RequestFor(cluster, cfg)));
     }
     dedicated_misses += service.stats().cache.misses;
   }
@@ -711,7 +714,8 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < grid.size(); ++i) {
     serial_grid_text += p2::engine::RenderShardBlock(block_of(i, serial_results[i]));
   }
-  PlannerService plane_service(engine, PlannerServiceOptions{});
+  // The plane answers lookups on its connection threads and never plans.
+  PlannerService plane_service;
   p2::server::PlannerServerOptions plane_options;
   plane_options.cache_server = true;
   p2::server::PlannerServer plane(plane_service, plane_options);
@@ -727,15 +731,12 @@ int main(int argc, char** argv) {
         options.threads = 2;
         options.remote_cache =
             std::make_shared<p2::server::RemoteCacheClient>(plane.port());
-        PlannerService worker(engine, options);
+        PlannerService worker(ServiceOptionsFor(engine, options));
         for (std::size_t i : p2::engine::ShardIndices(
                  grid.size(), w, kShardWorkers)) {
-          PlanRequest request;
-          request.axes = grid[i].axes;
-          request.reduction_axes = grid[i].reduction_axes;
           shard_texts[static_cast<std::size_t>(w)] +=
-              p2::engine::RenderShardBlock(
-                  block_of(i, worker.Plan(std::move(request))));
+              p2::engine::RenderShardBlock(block_of(
+                  i, worker.Plan(RequestFor(engine.cluster(), grid[i]))));
         }
         const auto stats = worker.stats();
         worker_misses[static_cast<std::size_t>(w)] = stats.cache.misses;
@@ -796,64 +797,58 @@ int main(int argc, char** argv) {
       static_cast<long long>(sharded_remote_errors),
       sharded_identical ? "yes" : "NO", sharded_ok ? "ok" : "NO — BUG");
 
-  // Machine-readable dump (satellite of ISSUE 9): every variant's headline
-  // numbers plus the contended gate, for CI artifacts and trend tracking.
-  {
-    FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    } else {
-      const std::pair<std::string, const VariantResult*> variants[] = {
-          {"serial", &serial},
-          {"cached", &cached},
-          {"cached+par", &parallel},
-          {"warm_disk", &warm},
-          {"concurrent", &concurrent},
-          {"multi_tenant", &multi_tenant},
-      };
-      std::fprintf(f, "{\n  \"threads\": %d,\n  \"variants\": [\n", threads);
-      bool first = true;
-      for (const auto& [name, v] : variants) {
-        std::fprintf(
-            f,
-            "%s    {\"name\": \"%s\", \"misses\": %lld, \"hits\": %lld, "
-            "\"seconds\": %.6f, \"synth_seconds\": %.6f}",
-            first ? "" : ",\n", name.c_str(),
-            static_cast<long long>(v->misses), static_cast<long long>(v->hits),
-            v->seconds, v->synth_seconds);
-        first = false;
-      }
-      std::fprintf(
-          f,
-          "\n  ],\n  \"contended\": {\n"
-          "    \"threads\": %d, \"hot_copies\": %d, \"background\": %d,\n"
-          "    \"deferred_p50_ms\": %.6f, \"deferred_p99_ms\": %.6f,\n"
-          "    \"uncontended_hot_p99_ms\": %.6f, \"bound_ms\": %.6f,\n"
-          "    \"deferred_lookups\": %lld,\n"
-          "    \"identical\": %s, \"ok\": %s\n  },\n",
-          kContendedThreads, kContendedCopies, kContendedBackground,
-          deferred.p50_seconds * 1e3, deferred.p99_seconds * 1e3,
-          uncontended.p99_seconds * 1e3, bound_ms,
-          static_cast<long long>(deferred.deferred_lookups),
-          contended_identical ? "true" : "false",
-          contended_ok ? "true" : "false");
-      std::fprintf(
-          f,
-          "  \"sharded\": {\n"
-          "    \"workers\": %d, \"total_misses\": %lld,\n"
-          "    \"independent_misses\": %lld, \"remote_hits\": %lld,\n"
-          "    \"remote_errors\": %lld, \"identical\": %s, \"ok\": %s\n"
-          "  }\n}\n",
-          kShardWorkers, static_cast<long long>(sharded_misses),
-          static_cast<long long>(independent_sharded_misses),
-          static_cast<long long>(sharded_remote_hits),
-          static_cast<long long>(sharded_remote_errors),
-          sharded_identical ? "true" : "false",
-          sharded_ok ? "true" : "false");
-      std::fclose(f);
-      std::printf("wrote %s\n", json_path.c_str());
-    }
+  // Machine-readable dump: every variant's headline numbers plus the
+  // contended and sharded gates, for CI artifacts and trend tracking.
+  const std::pair<std::string, const VariantResult*> variants[] = {
+      {"serial", &serial},
+      {"cached", &cached},
+      {"cached+par", &parallel},
+      {"warm_disk", &warm},
+      {"concurrent", &concurrent},
+      {"multi_tenant", &multi_tenant},
+  };
+  std::fprintf(json, "{\n  \"threads\": %d,\n  \"variants\": [\n", threads);
+  bool first = true;
+  for (const auto& [name, v] : variants) {
+    std::fprintf(
+        json,
+        "%s    {\"name\": \"%s\", \"misses\": %lld, \"hits\": %lld, "
+        "\"seconds\": %.6f, \"synth_seconds\": %.6f}",
+        first ? "" : ",\n", name.c_str(), static_cast<long long>(v->misses),
+        static_cast<long long>(v->hits), v->seconds, v->synth_seconds);
+    first = false;
   }
+  std::fprintf(
+      json,
+      "\n  ],\n  \"contended\": {\n"
+      "    \"threads\": %d, \"hot_copies\": %d, \"background\": %d,\n"
+      "    \"deferred_p50_ms\": %.6f, \"deferred_p99_ms\": %.6f,\n"
+      "    \"uncontended_hot_p99_ms\": %.6f, \"bound_ms\": %.6f,\n"
+      "    \"deferred_lookups\": %lld,\n"
+      "    \"identical\": %s, \"ok\": %s\n  },\n",
+      kContendedThreads, kContendedCopies, kContendedBackground,
+      deferred.p50_seconds * 1e3, deferred.p99_seconds * 1e3,
+      uncontended.p99_seconds * 1e3, bound_ms,
+      static_cast<long long>(deferred.deferred_lookups),
+      contended_identical ? "true" : "false", contended_ok ? "true" : "false");
+  std::fprintf(
+      json,
+      "  \"sharded\": {\n"
+      "    \"workers\": %d, \"total_misses\": %lld,\n"
+      "    \"independent_misses\": %lld, \"remote_hits\": %lld,\n"
+      "    \"remote_errors\": %lld, \"identical\": %s, \"ok\": %s\n"
+      "  }\n}\n",
+      kShardWorkers, static_cast<long long>(sharded_misses),
+      static_cast<long long>(independent_sharded_misses),
+      static_cast<long long>(sharded_remote_hits),
+      static_cast<long long>(sharded_remote_errors),
+      sharded_identical ? "true" : "false", sharded_ok ? "true" : "false");
+  const bool written = std::ferror(json) == 0;
+  if (std::fclose(json) != 0 || !written) {
+    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
+    return 1;
+  }
+  std::printf("wrote %s\n", json_path.c_str());
   return identical && warm_ok && concurrent_ok && multi_tenant_ok &&
                  storm_ok && contended_ok && sharded_ok
              ? 0

@@ -9,15 +9,18 @@
 // Reported per case: programs found, both wall-clocks, the speedup, the
 // table counters, and whether the program lists are byte-identical (they
 // must be — the differential test asserts the same, this reports it under
-// bench sizes). The same figures per case (programs, search seconds,
-// states_visited, states/s, identical) go to BENCH_synth.json for the
-// bench ledger.
+// bench sizes). The search time of a case is the median of kSearchRuns
+// searches, the first of which is checked against the DFS. The same figures
+// per case (programs, search seconds, states_visited, states/s, identical)
+// and the run count go to BENCH_synth.json for the bench ledger.
 //
 //   bench_synth              full grid (depth 2-4, paper-default size 5)
 //   bench_synth --smoke      CI-sized grid; exits non-zero when the search
 //                            stops beating the DFS by the guard margin or
 //                            any program list diverges
-//   bench_synth --json=PATH  write the JSON to PATH instead
+//   bench_synth --json=PATH  write the JSON to PATH instead (a path that
+//                            cannot be opened exits 2 before any search)
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -35,6 +38,10 @@ using p2::core::SynthesisHierarchyKind;
 using p2::core::SynthesisOptions;
 using p2::core::SynthesizePrograms;
 using p2::core::SynthesizeProgramsReference;
+
+/// Searches timed per case; the median is reported. One search of the
+/// depth-2 case takes well under a millisecond, so a single timing is noise.
+constexpr int kSearchRuns = 5;
 
 struct BenchCase {
   std::string name;
@@ -91,6 +98,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return 2;
   }
+  // Opened before any work starts, so a path that cannot be written costs
+  // no benchmark run.
+  FILE* json = std::fopen(json_path.c_str(), "w");
+  if (json == nullptr) {
+    std::fprintf(stderr, "--json: cannot write %s\n", json_path.c_str());
+    return 2;
+  }
 
   // The guard margin for --smoke, applied to the cases flagged `guard`.
   // Deliberately far below the observed ~8-12x so CI noise cannot trip it,
@@ -113,17 +127,22 @@ int main(int argc, char** argv) {
     options.max_program_size = c.max_program_size;
     const auto reference = SynthesizeProgramsReference(sh, options);
     const auto search = SynthesizePrograms(sh, options);
+    std::vector<double> runs = {search.stats.seconds};
+    for (int r = 1; r < kSearchRuns; ++r) {
+      runs.push_back(SynthesizePrograms(sh, options).stats.seconds);
+    }
+    std::nth_element(runs.begin(), runs.begin() + kSearchRuns / 2, runs.end());
+    const double search_seconds = runs[kSearchRuns / 2];
 
     const bool identical = search.programs == reference.programs;
     all_identical = all_identical && identical;
-    const double speedup = search.stats.seconds > 0.0
-                               ? reference.stats.seconds / search.stats.seconds
-                               : 0.0;
+    const double speedup =
+        search_seconds > 0.0 ? reference.stats.seconds / search_seconds : 0.0;
     if (smoke && c.guard && speedup < kSmokeMinSpeedup) fast_enough = false;
 
     table.AddRow({c.name, std::to_string(search.programs.size()),
                   p2::FormatSeconds(reference.stats.seconds),
-                  p2::FormatSeconds(search.stats.seconds),
+                  p2::FormatSeconds(search_seconds),
                   p2::engine::FormatSpeedup(speedup),
                   std::to_string(search.stats.states_visited),
                   std::to_string(search.stats.states_deduped),
@@ -138,25 +157,25 @@ int main(int argc, char** argv) {
         "\"states_visited\": %lld, \"states_per_s\": %.1f, "
         "\"identical\": %s}",
         json_cases.empty() ? "" : ",\n", c.name.c_str(), c.max_program_size,
-        search.programs.size(), search.stats.seconds,
+        search.programs.size(), search_seconds,
         static_cast<long long>(search.stats.states_visited),
-        search.stats.seconds > 0.0
-            ? static_cast<double>(search.stats.states_visited) /
-                  search.stats.seconds
+        search_seconds > 0.0
+            ? static_cast<double>(search.stats.states_visited) / search_seconds
             : 0.0,
         identical ? "true" : "false");
     json_cases += line;
   }
   std::printf("%s\n", table.Render().c_str());
 
-  FILE* f = std::fopen(json_path.c_str(), "w");
-  if (f == nullptr) {
+  std::fprintf(json,
+               "{\n  \"grid\": \"%s\",\n  \"search_runs\": %d,\n"
+               "  \"cases\": [\n%s\n  ]\n}\n",
+               smoke ? "smoke" : "full", kSearchRuns, json_cases.c_str());
+  const bool written = std::ferror(json) == 0;
+  if (std::fclose(json) != 0 || !written) {
     std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
     return 1;
   }
-  std::fprintf(f, "{\n  \"grid\": \"%s\",\n  \"cases\": [\n%s\n  ]\n}\n",
-               smoke ? "smoke" : "full", json_cases.c_str());
-  std::fclose(f);
   std::printf("wrote %s\n", json_path.c_str());
 
   if (!all_identical) {

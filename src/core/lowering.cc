@@ -11,17 +11,6 @@
 
 namespace p2::core {
 
-void LoweredStep::ComputeSortedOrders() {
-  sorted_orders.clear();
-  sorted_orders.reserve(groups.size());
-  for (const auto& group : groups) {
-    std::vector<int>& order = sorted_orders.emplace_back();
-    order.reserve(group.size());
-    for (std::int64_t d : group) order.push_back(static_cast<int>(d));
-    std::sort(order.begin(), order.end());
-  }
-}
-
 namespace {
 
 // The instruction's synthesis groups with more than one member. Singleton
@@ -106,7 +95,6 @@ LoweredStep LowerInstruction(const SynthesisHierarchy& sh,
       for (std::int64_t s : g) global.push_back(sh.GlobalDevice(s, rep));
     }
   }
-  step.ComputeSortedOrders();
   return step;
 }
 

@@ -39,20 +39,11 @@ struct LoweredStep {
   Collective op = Collective::kAllReduce;
   /// Concrete global-device groups executing `op` concurrently.
   std::vector<std::vector<std::int64_t>> groups;
-  /// groups[i] as ints in ascending order — the ring/chain member order the
-  /// cost model charges. Precomputed here (LowerProgram fills it; see
-  /// ComputeSortedOrders) so CostModel::PredictStep does not rebuild and
-  /// sort the order per group per prediction; when absent (e.g. a
-  /// hand-constructed step) the cost model falls back to a scratch build.
-  std::vector<std::vector<int>> sorted_orders;
   /// Per-participant data entering/leaving the step, as a fraction of the
   /// per-device payload (rows held / k'). For Reduce/Broadcast the fraction
   /// of the root is used; for AllGather `out_fraction` is the gathered total.
   double in_fraction = 1.0;
   double out_fraction = 1.0;
-
-  /// Rebuilds `sorted_orders` from `groups`.
-  void ComputeSortedOrders();
 };
 
 struct LoweredProgram {
@@ -77,9 +68,8 @@ std::vector<StepFractions> ReplayFractions(
     std::span<const std::int64_t> levels, const Program& program);
 
 /// Half (b): `instr`'s synthesis groups replicated over every non-reduction
-/// assignment of `sh`'s placement, with their sorted orders; the fractions
-/// are left at 1. Throws std::invalid_argument when `instr` derives no
-/// non-trivial group.
+/// assignment of `sh`'s placement; the fractions are left at 1. Throws
+/// std::invalid_argument when `instr` derives no non-trivial group.
 LoweredStep LowerInstruction(const SynthesisHierarchy& sh,
                              const Instruction& instr);
 

@@ -155,8 +155,8 @@ double GroupLatency(const Network& net, const std::vector<int>& order) {
 
 // Scratch buffers of one prediction call. PredictProgram allocates one set
 // and reuses it across every step (and every group), so the per-step hot
-// loop performs no heap allocation; `order` only backs steps whose cached
-// sorted_orders are absent (hand-constructed LoweredSteps).
+// loop performs no heap allocation once the buffers have grown; `order`
+// holds the group being charged, sorted into ring/chain member order.
 struct PredictScratch {
   LinkLoads loads;
   std::vector<int> order;
@@ -173,31 +173,22 @@ double PredictStepImpl(const Network& net, const Cluster& cluster,
   const double s_out = step.out_fraction * payload_bytes;
   const bool ring_only = step.op == Collective::kReduceScatter ||
                          step.op == Collective::kAllGather;
-  const bool cached_orders = step.sorted_orders.size() == step.groups.size();
+  std::vector<int>& order = scratch.order;
   double latency = 0.0;
-  for (std::size_t gi = 0; gi < step.groups.size(); ++gi) {
-    const std::vector<int>* order = nullptr;
-    if (cached_orders) {
-      order = &step.sorted_orders[gi];
-    } else {
-      scratch.order.clear();
-      scratch.order.reserve(step.groups[gi].size());
-      for (std::int64_t d : step.groups[gi]) {
-        scratch.order.push_back(static_cast<int>(d));
-      }
-      std::sort(scratch.order.begin(), scratch.order.end());
-      order = &scratch.order;
-    }
+  for (const auto& group : step.groups) {
+    order.clear();
+    for (std::int64_t d : group) order.push_back(static_cast<int>(d));
+    std::sort(order.begin(), order.end());
 
     if (algo == NcclAlgo::kRing || ring_only) {
-      ChargeRing(net, *order, step.op, s_in, s_out, scratch.loads);
+      ChargeRing(net, order, step.op, s_in, s_out, scratch.loads);
     } else {
-      ChargeTree(net, cluster, *order, step.op, s_in, s_out, scratch.loads,
+      ChargeTree(net, cluster, order, step.op, s_in, s_out, scratch.loads,
                  scratch.heads);
     }
-    const int n = static_cast<int>(order->size());
+    const int n = static_cast<int>(order.size());
     latency = std::max(latency,
-                       Rounds(step.op, algo, n) * GroupLatency(net, *order));
+                       Rounds(step.op, algo, n) * GroupLatency(net, order));
   }
   return scratch.loads.BottleneckSeconds(net) + latency;
 }

@@ -19,7 +19,7 @@ namespace p2::engine {
 namespace {
 
 // The best measured program of a finished experiment together with the
-// placement holding it (used by both report paths).
+// placement holding it.
 struct BestOfExperiment {
   const PlacementEvaluation* placement = nullptr;
   const ProgramEvaluation* program = nullptr;
@@ -276,10 +276,6 @@ Flag NodesFlag(int* nodes) {
   return {"nodes", nodes, "number of nodes", 1, topology::kMaxNodes};
 }
 
-topology::Cluster ClusterFromOptions(const CliOptions& options) {
-  return ClusterFromPreset(TopologyPreset{options.system, options.nodes});
-}
-
 topology::Cluster ClusterFromPreset(const TopologyPreset& preset) {
   return preset.system == "a100" ? topology::MakeA100Cluster(preset.nodes)
                                  : topology::MakeV100Cluster(preset.nodes);
@@ -287,19 +283,8 @@ topology::Cluster ClusterFromPreset(const TopologyPreset& preset) {
 
 namespace {
 
-// Single translation points from CLI flags to the engine/service/request
-// option structs: both the single-cluster and the multi-topology paths go
-// through these, so a new flag cannot get wired into one path and silently
-// not the other.
-EngineOptions EngineOptionsFromCli(const CliOptions& options) {
-  EngineOptions eng_opts;
-  eng_opts.algo = options.algo;
-  if (options.payload_mb > 0) {
-    eng_opts.payload_bytes = options.payload_mb * 1e6;
-  }
-  return eng_opts;
-}
-
+// The single translation point from CLI flags to the service's options,
+// engine knobs included.
 PlannerServiceOptions ServiceOptionsFromCli(const CliOptions& options) {
   PlannerServiceOptions svc;
   svc.threads = options.service_threads;
@@ -311,39 +296,51 @@ PlannerServiceOptions ServiceOptionsFromCli(const CliOptions& options) {
   if (options.drain_grace_ms >= 0) {
     svc.drain_grace = std::chrono::milliseconds(options.drain_grace_ms);
   }
+  svc.engine.algo = options.algo;
+  if (options.payload_mb > 0) {
+    svc.engine.payload_bytes = options.payload_mb * 1e6;
+  }
   return svc;
 }
 
 PlanRequest RequestForConfig(const ExperimentConfig& config,
+                             const topology::Cluster& cluster,
                              const CliOptions& options) {
   PlanRequest request;
   request.axes = config.axes;
   request.reduction_axes = config.reduction_axes;
   request.measure_top_k = options.top_k > 0 ? options.top_k : -1;
+  request.cluster = cluster;
   if (options.deadline_ms > 0) {
     request.deadline = std::chrono::milliseconds(options.deadline_ms);
   }
   return request;
 }
 
-/// Collects every handle, pairing survivors with their configs; a rejected,
-/// cancelled or expired config becomes a warning line instead of killing
-/// the whole invocation (its siblings' results are unaffected — that is
-/// the service's determinism contract).
-void CollectResults(std::vector<ExperimentConfig> configs,
-                    std::vector<PlanHandle>& handles,
-                    std::vector<ExperimentConfig>* done_configs,
-                    std::vector<ExperimentResult>* results,
-                    std::ostream& os) {
-  for (std::size_t i = 0; i < handles.size(); ++i) {
+/// One preset's share of an invocation: its configs, their handles, and
+/// the configs that completed with their results, in config order.
+struct PresetRun {
+  topology::Cluster cluster;
+  std::vector<ExperimentConfig> configs;
+  std::vector<PlanHandle> handles;
+  std::vector<ExperimentConfig> done_configs;
+  std::vector<ExperimentResult> results;
+};
+
+/// Collects every handle of `run`, pairing survivors with their configs; a
+/// rejected, cancelled or expired config becomes a warning line instead of
+/// killing the whole invocation (its siblings' results are unaffected —
+/// that is the service's determinism contract).
+void CollectResults(PresetRun& run, std::ostream& os) {
+  for (std::size_t i = 0; i < run.handles.size(); ++i) {
     try {
-      results->push_back(handles[i].get());
-      done_configs->push_back(std::move(configs[i]));
+      run.results.push_back(run.handles[i].get());
+      run.done_configs.push_back(run.configs[i]);
     } catch (const PlanRejected& e) {
-      os << "warning: config " << configs[i].ToString()
+      os << "warning: config " << run.configs[i].ToString()
          << " rejected: " << e.what() << '\n';
     } catch (const RequestAborted& e) {
-      os << "warning: config " << configs[i].ToString()
+      os << "warning: config " << run.configs[i].ToString()
          << " abandoned: " << e.what() << '\n';
     }
   }
@@ -364,19 +361,17 @@ void AppendCacheLoadWarnings(const PlannerService& service,
   }
 }
 
-void RenderGridTable(const std::vector<ExperimentConfig>& configs,
-                     const std::vector<ExperimentResult>& results,
-                     std::ostream& os) {
+void RenderGridTable(const PresetRun& run, std::ostream& os) {
   // One summary row per config; the full per-placement detail of a config
   // is what the single-config invocation is for.
   TextTable table({"Config", "Placements", "AllReduce(s)", "Best(s)",
                    "Speedup", "Best placement"});
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& result = results[i];
+  for (std::size_t i = 0; i < run.results.size(); ++i) {
+    const auto& result = run.results[i];
     const BestOfExperiment best = FindBest(result);
     if (best.program == nullptr) continue;
     const double baseline = best.placement->DefaultAllReduce().measured_seconds;
-    table.AddRow({configs[i].ToString(),
+    table.AddRow({run.done_configs[i].ToString(),
                   std::to_string(result.placements.size()),
                   FormatSeconds(baseline),
                   FormatSeconds(best.program->measured_seconds),
@@ -386,112 +381,76 @@ void RenderGridTable(const std::vector<ExperimentConfig>& configs,
   os << table.Render();
 }
 
-/// The multi-tenant form: every --topology preset's full grid through one
-/// shared service, reported per tenant with one service-wide footer.
-int RunMultiTopology(const CliOptions& options, std::string* output) {
-  PlannerServiceOptions svc = ServiceOptionsFromCli(options);
-  svc.engine = EngineOptionsFromCli(options);
-  // One multi-tenant service: every preset's requests share its cache and
-  // pool, so hierarchies recurring across clusters synthesize once.
-  PlannerService service(svc);
-
-  std::ostringstream os;
-  AppendCacheLoadWarnings(service, options, os);
-
-  struct TenantRun {
-    topology::Cluster cluster;
-    std::vector<ExperimentConfig> configs;
-    std::vector<PlanHandle> handles;
-  };
-  std::vector<TenantRun> runs;
-  runs.reserve(options.topologies.size());
-  for (const TopologyPreset& preset : options.topologies) {
-    TenantRun run;
-    run.cluster = ClusterFromPreset(preset);
-    run.configs = FullGrid(run.cluster);
-    runs.push_back(std::move(run));
+void RenderConfigTable(const CliOptions& options,
+                       const ExperimentResult& result, std::ostream& os) {
+  TextTable table({"Placement", "Programs", "AllReduce(s)", "Best(s)",
+                   "Speedup", "Best program"});
+  for (const auto& eval : result.placements) {
+    const auto& best =
+        eval.programs[static_cast<std::size_t>(eval.BestMeasuredIndex())];
+    table.AddRow({eval.matrix.ToString(), std::to_string(eval.programs.size()),
+                  FormatSeconds(eval.DefaultAllReduce().measured_seconds),
+                  FormatSeconds(best.measured_seconds),
+                  FormatSpeedup(eval.DefaultAllReduce().measured_seconds /
+                                best.measured_seconds),
+                  MaybeFused(options, eval, best, result.reduction_axes)});
   }
-  // Submit everything before collecting anything: all tenants' requests
-  // overlap on the shared pool, while the report below stays in preset +
-  // config order.
-  for (TenantRun& run : runs) {
-    run.handles.reserve(run.configs.size());
-    for (const auto& config : run.configs) {
-      PlanRequest request = RequestForConfig(config, options);
-      request.cluster = run.cluster;
-      run.handles.push_back(service.Submit(std::move(request)));
-    }
-  }
-  for (TenantRun& run : runs) {
-    std::vector<ExperimentConfig> done_configs;
-    std::vector<ExperimentResult> results;
-    CollectResults(std::move(run.configs), run.handles, &done_configs,
-                   &results, os);
-    os << "system: " << run.cluster.ToString() << ", "
-       << core::ToString(options.algo) << ", payload "
-       << service.EngineFor(run.cluster).payload_bytes() / 1e6
-       << " MB/GPU\n\n";
-    RenderGridTable(done_configs, results, os);
-    os << '\n';
-  }
-
-  std::string save_error;
-  if (!service.SaveCache(&save_error)) {
-    os << "warning: could not save cache file " << options.cache_file << ": "
-       << save_error << '\n';
-  }
-  // The footer carries the whole point of the shared service: per-tenant
-  // rows plus the cross-tenant cache hits the sharing produced.
-  os << RenderServiceStats(service.stats()) << '\n';
-  *output = os.str();
-  return 0;
+  os << table.Render();
+  os << '\n' << RenderPipelineStats(result.pipeline) << '\n';
 }
 
 }  // namespace
 
 int RunCli(const CliOptions& options, std::string* output) {
-  if (options.topologies.size() > 1) return RunMultiTopology(options, output);
-  const topology::Cluster cluster = ClusterFromOptions(options);
-
-  if (!options.grid) {
+  // --system/--nodes name a one-preset list; a single --topology preset is
+  // folded into them by ParseCliOptions.
+  const std::vector<TopologyPreset> presets =
+      options.topologies.empty()
+          ? std::vector<TopologyPreset>{{options.system, options.nodes}}
+          : options.topologies;
+  std::ostringstream os;
+  std::vector<PresetRun> runs;
+  runs.reserve(presets.size());
+  for (const TopologyPreset& preset : presets) {
+    PresetRun& run = runs.emplace_back();
+    run.cluster = ClusterFromPreset(preset);
+    if (options.grid) {
+      run.configs = FullGrid(run.cluster);
+      continue;
+    }
+    // ParseCliOptions admits one preset without --grid.
     std::int64_t axis_product = 1;
     for (std::int64_t a : options.axes) axis_product *= a;
-    if (axis_product != cluster.num_devices()) {
-      std::ostringstream os;
+    if (axis_product != run.cluster.num_devices()) {
       os << "error: axes multiply to " << axis_product
-         << " but the system has " << cluster.num_devices() << " GPUs\n";
+         << " but the system has " << run.cluster.num_devices() << " GPUs\n";
       *output = os.str();
       return 1;
     }
+    run.configs.push_back(
+        ExperimentConfig{options.axes, options.reduction_axes});
   }
 
-  const Engine engine(cluster, EngineOptionsFromCli(options));
   // One service per invocation: the single owner of the shared cache, the
-  // worker pool and the optional persistent store; every config below is a
-  // query against it (the engine is the service's default tenant).
-  PlannerService service(engine, ServiceOptionsFromCli(options));
-
-  std::ostringstream os;
+  // worker pool and the optional persistent store. Every preset's requests
+  // are submitted before any is collected, so they overlap on the pool and
+  // hierarchies recurring across configs and clusters synthesize once,
+  // while the report below stays in preset + config order.
+  PlannerService service(ServiceOptionsFromCli(options));
   AppendCacheLoadWarnings(service, options, os);
-
-  // Decide the queries, submit them all, then collect in config order: with
-  // --grid the requests overlap on the shared pool and dedup against each
-  // other's synthesis, while the reported order stays deterministic.
-  std::vector<ExperimentConfig> configs;
-  if (options.grid) {
-    configs = FullGrid(cluster);
-  } else {
-    configs.push_back(ExperimentConfig{options.axes, options.reduction_axes});
+  for (PresetRun& run : runs) {
+    run.handles.reserve(run.configs.size());
+    for (const auto& config : run.configs) {
+      run.handles.push_back(
+          service.Submit(RequestForConfig(config, run.cluster, options)));
+    }
   }
-  std::vector<PlanHandle> handles;
-  handles.reserve(configs.size());
-  for (const auto& config : configs) {
-    handles.push_back(service.Submit(RequestForConfig(config, options)));
+  bool any_completed = false;
+  for (PresetRun& run : runs) {
+    CollectResults(run, os);
+    any_completed = any_completed || !run.results.empty();
   }
-  std::vector<ExperimentConfig> done_configs;
-  std::vector<ExperimentResult> results;
-  CollectResults(std::move(configs), handles, &done_configs, &results, os);
-  if (results.empty()) {
+  if (!any_completed) {
     os << "error: no config completed\n";
     *output = os.str();
     return 1;
@@ -503,33 +462,20 @@ int RunCli(const CliOptions& options, std::string* output) {
        << save_error << '\n';
   }
 
-  os << "system: " << cluster.ToString() << ", "
-     << core::ToString(options.algo) << ", payload "
-     << engine.payload_bytes() / 1e6 << " MB/GPU\n\n";
-
-  if (options.grid) {
-    RenderGridTable(done_configs, results, os);
-  } else {
-    const ExperimentResult& result = results.front();
-    TextTable table({"Placement", "Programs", "AllReduce(s)", "Best(s)",
-                     "Speedup", "Best program"});
-    for (const auto& eval : result.placements) {
-      const auto& best =
-          eval.programs[static_cast<std::size_t>(eval.BestMeasuredIndex())];
-      table.AddRow(
-          {eval.matrix.ToString(), std::to_string(eval.programs.size()),
-           FormatSeconds(eval.DefaultAllReduce().measured_seconds),
-           FormatSeconds(best.measured_seconds),
-           FormatSpeedup(eval.DefaultAllReduce().measured_seconds /
-                         best.measured_seconds),
-           MaybeFused(options, eval, best, result.reduction_axes)});
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    if (r > 0) os << '\n';
+    os << "system: " << runs[r].cluster.ToString() << ", "
+       << core::ToString(options.algo) << ", payload "
+       << service.EngineFor(runs[r].cluster).payload_bytes() / 1e6
+       << " MB/GPU\n\n";
+    if (options.grid) {
+      RenderGridTable(runs[r], os);
+    } else {
+      RenderConfigTable(options, runs[r].results.front(), os);
     }
-    os << table.Render();
-    os << '\n' << RenderPipelineStats(result.pipeline) << '\n';
   }
-  // Service-wide figures render exactly once per invocation — in particular
-  // the one-time disk preload, which the per-experiment stats used to
-  // repeat verbatim for every config of a sequential multi-config run.
+  // Service-wide figures render exactly once per invocation — per-tenant
+  // rows and cross-tenant hits included, and the one-time disk preload.
   if (options.grid || !options.cache_file.empty()) {
     os << '\n' << RenderServiceStats(service.stats()) << '\n';
   }

@@ -3,14 +3,12 @@
 // rendered from the table in cli.cc (common/flags.h); a bad flag exits 2.
 //
 // All planning goes through one PlannerService (engine/service.h) per
-// invocation: --grid submits every experiment-grid config concurrently to
-// the shared service instead of looping sequentially, so configs sharing
-// synthesis hierarchies are synthesized once between them. --topology
-// accepts multiple system:nodes presets — the service is multi-tenant, so
-// one --grid run plans every preset's grid through one shared cache and
-// pool, and presets with overlapping reduction factorizations synthesize
-// shared hierarchies once *across clusters* (reported as cross-tenant
-// hits).
+// invocation, as requests naming their preset's cluster: --system/--nodes
+// name one preset, --topology one or more. Each preset plans one --axes
+// config or, with --grid, its whole experiment grid; every request is
+// submitted before any is collected, so configs sharing synthesis
+// hierarchies are synthesized once between them — across clusters too
+// (reported as cross-tenant hits) — and the report renders per preset.
 #ifndef P2_ENGINE_CLI_H_
 #define P2_ENGINE_CLI_H_
 
@@ -38,9 +36,9 @@ struct TopologyPreset {
 struct CliOptions {
   std::string system = "a100";  // "a100" or "v100"
   int nodes = 2;
-  /// `--topology` presets. Empty = the classic single-cluster form
-  /// (--system/--nodes). More than one preset requires --grid and plans
-  /// every preset's grid through one multi-tenant service.
+  /// `--topology` presets. Empty = the one preset --system/--nodes name
+  /// (a single --topology preset is folded into them). More than one preset
+  /// requires --grid.
   std::vector<TopologyPreset> topologies;
   std::vector<std::int64_t> axes;
   std::vector<int> reduction_axes;
@@ -72,11 +70,7 @@ bool IsPresetSystem(std::string_view system);
 Flag SystemFlag(std::string* system);
 Flag NodesFlag(int* nodes);
 
-/// Builds the cluster the options describe (the --system/--nodes form; for
-/// --topology presets see ClusterFromPreset).
-topology::Cluster ClusterFromOptions(const CliOptions& options);
-
-/// Builds the cluster one --topology preset describes.
+/// Builds the cluster one preset describes.
 topology::Cluster ClusterFromPreset(const TopologyPreset& preset);
 
 /// Runs the full plan and renders the report table. Returns the process

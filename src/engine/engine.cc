@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/thread_pool.h"
 #include "core/placement.h"
 #include "engine/pipeline.h"
-#include "engine/service.h"
 
 namespace p2::engine {
 
@@ -109,13 +109,10 @@ PlacementEvaluation Engine::EvaluatePlacementGuided(
 ExperimentResult Engine::RunExperiment(
     std::span<const std::int64_t> axes,
     std::span<const int> reduction_axes) const {
-  // A transient service per call: callers that want cross-query sharing
-  // (one cache, one pool) hold a PlannerService themselves and Submit.
-  PlannerService service(*this);
-  PlanRequest request;
-  request.axes.assign(axes.begin(), axes.end());
-  request.reduction_axes.assign(reduction_axes.begin(), reduction_axes.end());
-  return service.Plan(std::move(request));
+  SynthesisCache cache;
+  ThreadPool pool(1);
+  core::LoweringMemo memo;
+  return Pipeline(cache, pool, memo, *this).Run(axes, reduction_axes);
 }
 
 }  // namespace p2::engine

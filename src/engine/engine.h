@@ -173,11 +173,13 @@ class Engine {
       const core::ParallelismMatrix& matrix,
       std::span<const int> reduction_axes, int measure_top_k) const;
 
-  /// Full experiment over every placement of `axes`, through the
-  /// pipeline (engine/pipeline.h) of a transient one-thread service:
-  /// placements inducing isomorphic synthesis hierarchies share one
-  /// synthesis run. Callers that want a worker pool hold a PlannerService
-  /// (its `threads` option) and Submit; the output is the same.
+  /// Full experiment over every placement of `axes`: a Pipeline
+  /// (engine/pipeline.h) on this engine with a call-local synthesis cache,
+  /// lowering memo and one-thread pool, so placements inducing isomorphic
+  /// synthesis hierarchies share one synthesis run and this engine's
+  /// executor memo carries across calls. Callers that want a worker pool,
+  /// or a cache shared across calls, hold a PlannerService and Submit
+  /// requests naming the cluster; the output is the same.
   ExperimentResult RunExperiment(std::span<const std::int64_t> axes,
                                  std::span<const int> reduction_axes) const;
 

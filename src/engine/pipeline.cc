@@ -17,14 +17,18 @@
 #include "common/thread_pool.h"
 #include "core/placement.h"
 #include "engine/baselines.h"
-#include "engine/service.h"
 #include "engine/synthesis_cache.h"
 
 namespace p2::engine {
 
-Pipeline::Pipeline(PlannerService& service, const Engine& engine,
+Pipeline::Pipeline(SynthesisCache& cache, ThreadPool& pool,
+                   core::LoweringMemo& memo, const Engine& engine,
                    PipelineOptions options)
-    : service_(service), engine_(engine), options_(options) {}
+    : cache_(cache),
+      pool_(pool),
+      memo_(memo),
+      engine_(engine),
+      options_(options) {}
 
 namespace {
 
@@ -227,7 +231,7 @@ ExperimentResult Pipeline::Run(std::span<const std::int64_t> axes,
   // groups on the same pool; the scheduler interleaves them round-robin and
   // Wait helps execute instead of idling a worker, so requests running *as*
   // pool tasks make progress too.
-  ThreadPool::TaskGroup group(service_.pool());
+  ThreadPool::TaskGroup group(pool_);
 
   // Stages 3+4: synthesize once per unique signature, then
   // lower/predict/measure every placement, as one deferral-aware work loop.
@@ -302,7 +306,7 @@ ExperimentResult Pipeline::Run(std::span<const std::int64_t> axes,
       auto fire = std::make_shared<FireState>();
       fire->group = &group;
       fire->task = [&resolve, g] { resolve(g); };
-      SynthesisCache::TryLookupResult looked = service_.cache().TryLookup(
+      SynthesisCache::TryLookupResult looked = cache_.TryLookup(
           hierarchies[i], synth_options, [fire, try_fire] { try_fire(fire); },
           &state.deferred, &counted[i], options_.tenant);
       if (looked.state == SynthesisCache::TryLookupState::kInFlight) {
@@ -332,7 +336,7 @@ ExperimentResult Pipeline::Run(std::span<const std::int64_t> axes,
         // every in-flight signature always has a running owner: owner
         // chains cannot cycle.
         const auto owned_start = std::chrono::steady_clock::now();
-        synthesis[i] = service_.cache().SynthesizeOwned(
+        synthesis[i] = cache_.SynthesizeOwned(
             hierarchies[i], synth_options, &counted[i], options_.tenant);
         state.synth_seconds += SecondsSince(owned_start);
       } else {
@@ -349,8 +353,8 @@ ExperimentResult Pipeline::Run(std::span<const std::int64_t> axes,
         options_.cancel.ThrowIfCancelled();
         const auto eval_start = std::chrono::steady_clock::now();
         result.placements[i] = EvaluateSynthesized(
-            engine_, service_.lowering_memo(), placements[i],
-            hierarchies[i], *synthesis[i], options_.measure_top_k);
+            engine_, memo_, placements[i], hierarchies[i], *synthesis[i],
+            options_.measure_top_k);
         eval_seconds[i] = SecondsSince(eval_start);
       });
     }
@@ -386,7 +390,7 @@ ExperimentResult Pipeline::Run(std::span<const std::int64_t> axes,
   // fail-fast-skipped (or threw at its re-entry checkpoint) still holds its
   // cache-side reservation and continuation registration. Settle them.
   for (GroupState& state : group_states) {
-    service_.cache().CancelDeferred(&state.deferred);
+    cache_.CancelDeferred(&state.deferred);
   }
   if (error != nullptr) std::rethrow_exception(error);
 
@@ -417,7 +421,7 @@ ExperimentResult Pipeline::Run(std::span<const std::int64_t> axes,
   result.pipeline.synthesis_seconds = synthesis_seconds;
   result.pipeline.evaluation_seconds = evaluation_seconds;
   result.pipeline.total_seconds = SecondsSince(start);
-  result.pipeline.threads = std::max(1, service_.options().threads);
+  result.pipeline.threads = std::max(1, pool_.num_threads());
   return result;
 }
 

@@ -2,29 +2,30 @@
 // and Engine::RunExperiment:
 //
 //   enumerate placements -> dedup by synthesis-hierarchy signature
-//     -> synthesize once per signature (memoized in the service's shared
+//     -> synthesize once per signature (memoized in the borrowed
 //        SynthesisCache, with cross-request in-flight dedup)
 //     -> lower / predict / (guided-)measure every placement, in parallel
-//        (each program's synthesis-level replay memoized in the service's
-//        shared core::LoweringMemo; each distinct step built and predicted
-//        once per placement)
+//        (each program's synthesis-level replay memoized in the borrowed
+//        core::LoweringMemo; each distinct step built and predicted once per
+//        placement)
 //     -> merge in placement order
 //
-// A Pipeline is stateless: it borrows the process-wide cache and worker
-// pool from its PlannerService and holds only per-query options, so any
-// number of pipelines (one per in-flight request) share synthesis results
-// and threads. There is no cacheless mode: every placement gets its
-// programs through the signature cache. Placements are independent once
-// their synthesis hierarchies are shared, so stages 3-4 run as work items
-// on a ThreadPool::TaskGroup of the shared pool — concurrent requests'
-// items interleave fairly. The one scheduler is deferral-aware: a
-// signature group whose synthesis another request owns re-enqueues itself
-// through a SynthesisCache::TryLookup continuation while the thread runs
-// other pending tasks, so no pool thread ever blocks on a foreign synthesis
-// (PipelineStats::cache counts the deferrals). Results are written into
-// preallocated slots and merged in enumeration order, which makes the
-// parallel output byte-identical to the per-placement reference,
-// EvaluateUncachedPlacement (modulo wall-clock timing fields).
+// A Pipeline is stateless: it borrows a synthesis cache, a lowering memo
+// and a worker pool and holds only per-query options. The planning service
+// lends its process-wide ones, so any number of pipelines (one per
+// in-flight request) share synthesis results and threads;
+// Engine::RunExperiment lends call-local ones. There is no cacheless mode:
+// every placement gets its programs through the signature cache.
+// Placements are independent once their synthesis hierarchies are shared,
+// so stages 3-4 run as work items on a ThreadPool::TaskGroup of the pool —
+// concurrent requests' items interleave fairly. The one scheduler is
+// deferral-aware: a signature group whose synthesis another request owns
+// re-enqueues itself through a SynthesisCache::TryLookup continuation while
+// the thread runs other pending tasks, so no pool thread ever blocks on a
+// foreign synthesis (PipelineStats::cache counts the deferrals). Results
+// are written into preallocated slots and merged in enumeration order,
+// which makes the parallel output byte-identical to the per-placement
+// reference, EvaluateUncachedPlacement (modulo wall-clock timing fields).
 #ifndef P2_ENGINE_PIPELINE_H_
 #define P2_ENGINE_PIPELINE_H_
 
@@ -32,12 +33,12 @@
 #include <span>
 
 #include "common/cancel.h"
+#include "common/thread_pool.h"
+#include "core/lowering.h"
 #include "engine/engine.h"
 #include "engine/synthesis_cache.h"
 
 namespace p2::engine {
-
-class PlannerService;
 
 /// Per-query knobs. Process-wide concerns — thread count, cache
 /// persistence — live in PlannerServiceOptions.
@@ -64,12 +65,11 @@ struct PipelineOptions {
 
 class Pipeline {
  public:
-  /// The service must outlive the pipeline (it supplies the cache and the
-  /// pool; typically the service itself constructs one per request, after
-  /// resolving `engine` from the request's cluster through the tenant
-  /// registry).
-  Pipeline(PlannerService& service, const Engine& engine,
-           PipelineOptions options = {});
+  /// `cache`, `pool` and `memo` must outlive the pipeline. The planning
+  /// service constructs one per request, on the engine of the request's
+  /// cluster, lending its own; Engine::RunExperiment lends call-local ones.
+  Pipeline(SynthesisCache& cache, ThreadPool& pool, core::LoweringMemo& memo,
+           const Engine& engine, PipelineOptions options = {});
 
   const PipelineOptions& options() const { return options_; }
 
@@ -80,7 +80,9 @@ class Pipeline {
                        std::span<const int> reduction_axes);
 
  private:
-  PlannerService& service_;
+  SynthesisCache& cache_;
+  ThreadPool& pool_;
+  core::LoweringMemo& memo_;
   const Engine& engine_;
   PipelineOptions options_;
 };

@@ -156,8 +156,8 @@ std::string RenderServiceStats(const PlannerServiceStats& stats) {
       os << ", " << stats.cache_entries_expired << " expired";
     }
   }
-  // One line per tenant (only when the registry holds more than the single
-  // default tenant — the classic single-cluster footer stays unchanged).
+  // One line per tenant (only when the registry holds more than one — the
+  // single-cluster footer stays unchanged).
   // The per-tenant cache split is attribution-approximate under races, like
   // per-request PipelineStats (see TenantStats for when the sums match the
   // service totals).

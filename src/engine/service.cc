@@ -93,21 +93,6 @@ PlannerService::PlannerService(PlannerServiceOptions options)
   }
 }
 
-PlannerService::PlannerService(const Engine& engine,
-                               PlannerServiceOptions options)
-    : PlannerService([&] {
-        // Requests that *do* name a cluster should evaluate under the same
-        // knobs as the borrowed default engine.
-        options.engine = engine.options();
-        return std::move(options);
-      }()) {
-  // Borrowed, not owned: the no-op deleter encodes the documented contract
-  // that the engine outlives the service.
-  default_tenant_ = &AdoptTenant(
-      engine.cluster(), engine.options(),
-      std::shared_ptr<const Engine>(&engine, [](const Engine*) {}));
-}
-
 PlannerService::~PlannerService() {
   // The same drain callers can run explicitly: reject new submissions, wait
   // for (or after the configured grace, cancel) in-flight requests, persist
@@ -116,17 +101,16 @@ PlannerService::~PlannerService() {
   BeginDrain(options_.drain_grace);
 }
 
-const Engine* PlannerService::default_engine() const {
-  std::unique_lock<std::mutex> lock(tenants_mu_);
-  return default_tenant_ != nullptr ? default_tenant_->engine.get() : nullptr;
-}
-
-PlannerService::Tenant& PlannerService::RegisterTenantLocked(
-    const std::string& key, const topology::Cluster& cluster) {
+PlannerService::Tenant& PlannerService::TenantRecordLocked(
+    const std::string& key, const topology::Cluster& cluster,
+    const EngineOptions& engine_options) {
+  const auto it = tenant_by_key_.find(key);
+  if (it != tenant_by_key_.end()) return *it->second;
   auto tenant = std::make_unique<Tenant>();
   tenant->id = next_tenant_id_++;
   tenant->fingerprint = cluster.Fingerprint();
   tenant->cluster = cluster;
+  tenant->engine_options = engine_options;
   tenant->stats.id = tenant->id;
   tenant->stats.fingerprint = tenant->fingerprint;
   tenant->stats.cluster = cluster.ToString();
@@ -134,22 +118,6 @@ PlannerService::Tenant& PlannerService::RegisterTenantLocked(
   tenant_by_key_.emplace(key, tenant.get());
   tenants_.push_back(std::move(tenant));
   return ref;
-}
-
-PlannerService::Tenant& PlannerService::AdoptTenant(
-    const topology::Cluster& cluster, const EngineOptions& engine_options,
-    std::shared_ptr<const Engine> engine) {
-  const std::string key = TenantKey(cluster, engine_options);
-  std::unique_lock<std::mutex> lock(tenants_mu_);
-  const auto it = tenant_by_key_.find(key);
-  if (it != tenant_by_key_.end()) {
-    // Admission may have registered the record engine-less; adopt into it.
-    if (it->second->engine == nullptr) it->second->engine = std::move(engine);
-    return *it->second;
-  }
-  Tenant& tenant = RegisterTenantLocked(key, cluster);
-  tenant.engine = std::move(engine);
-  return tenant;
 }
 
 EngineOptions PlannerService::EffectiveEngineOptions(
@@ -161,25 +129,13 @@ EngineOptions PlannerService::EffectiveEngineOptions(
   return effective;
 }
 
-PlannerService::Tenant& PlannerService::ResolveTenant(
-    const topology::Cluster& cluster, const EngineOptions& engine_options) {
-  const std::string key = TenantKey(cluster, engine_options);
+const Engine& PlannerService::BuildEngine(Tenant& tenant) {
   std::unique_lock<std::mutex> lock(tenants_mu_);
-  Tenant* record = nullptr;
   for (;;) {
-    const auto it = tenant_by_key_.find(key);
-    if (it == tenant_by_key_.end()) {
-      record = &RegisterTenantLocked(key, cluster);
-      break;
-    }
-    Tenant& tenant = *it->second;
-    if (tenant.engine != nullptr) return tenant;
-    if (!tenant.built.valid()) {
-      // An engine-less record (registered by admission, or left behind by a
-      // failed construction) nobody is building: claim the construction.
-      record = &tenant;
-      break;
-    }
+    if (tenant.engine != nullptr) return *tenant.engine;
+    // An engine-less record (registered by admission, or left behind by a
+    // failed construction) nobody is building: claim the construction.
+    if (!tenant.built.valid()) break;
     // Another request is constructing this tenant's engine right now: wait
     // for it and re-check (a construction that threw leaves the record
     // engine-less and unclaimed, sending us around the loop into our own
@@ -191,75 +147,34 @@ PlannerService::Tenant& PlannerService::ResolveTenant(
   }
 
   // Announce the construction, run it outside the lock so other tenants'
-  // requests proceed, then publish.
+  // requests proceed, then publish. The record's cluster and options never
+  // change after registration, so they are read unlocked.
   std::promise<void> built_promise;
-  record->built = built_promise.get_future().share();
+  tenant.built = built_promise.get_future().share();
   lock.unlock();
 
-  std::shared_ptr<const Engine> engine;
+  std::unique_ptr<const Engine> engine;
   try {
-    engine = std::make_shared<const Engine>(cluster, engine_options);
+    engine = std::make_unique<const Engine>(tenant.cluster,
+                                            tenant.engine_options);
   } catch (...) {
     // Withdraw the claim — but keep the record, so the tenant's id and its
     // admission counters survive — and wake the racers; each retries the
     // construction (and presumably fails the same way, in its own future).
     lock.lock();
-    record->built = {};
+    tenant.built = {};
     lock.unlock();
     built_promise.set_value();
     throw;
   }
 
+  const Engine& built = *engine;
   lock.lock();
-  record->engine = std::move(engine);
+  tenant.engine = std::move(engine);
   ++engines_constructed_;
   lock.unlock();
   built_promise.set_value();
-  return *record;
-}
-
-PlannerService::Tenant& PlannerService::TenantForRequest(
-    const PlanRequest& request) {
-  if (request.cluster.has_value()) {
-    return ResolveTenant(*request.cluster, EffectiveEngineOptions(request));
-  }
-  if (request.max_programs > 0) {
-    throw std::invalid_argument(
-        "PlanRequest::max_programs overrides the tenant's synthesis cap and "
-        "so requires PlanRequest::cluster; the borrowed default tenant's "
-        "engine cannot be re-optioned");
-  }
-  std::unique_lock<std::mutex> lock(tenants_mu_);
-  if (default_tenant_ != nullptr) return *default_tenant_;
-  throw std::invalid_argument(
-      "PlanRequest names no cluster and the PlannerService has no default "
-      "tenant; set PlanRequest::cluster or construct the service with an "
-      "Engine");
-}
-
-PlannerService::Tenant& PlannerService::AdmitTenantLocked(
-    const PlanRequest& request) {
-  if (!request.cluster.has_value()) {
-    if (request.max_programs > 0) {
-      throw std::invalid_argument(
-          "PlanRequest::max_programs overrides the tenant's synthesis cap "
-          "and so requires PlanRequest::cluster; the borrowed default "
-          "tenant's engine cannot be re-optioned");
-    }
-    if (default_tenant_ != nullptr) return *default_tenant_;
-    throw std::invalid_argument(
-        "PlanRequest names no cluster and the PlannerService has no default "
-        "tenant; set PlanRequest::cluster or construct the service with an "
-        "Engine");
-  }
-  const std::string key =
-      TenantKey(*request.cluster, EffectiveEngineOptions(request));
-  const auto it = tenant_by_key_.find(key);
-  if (it != tenant_by_key_.end()) return *it->second;
-  // New fingerprint at Submit time: register the record engine-less so this
-  // submission (and any rejection of it) is attributable; the request task
-  // constructs the engine when it runs (ResolveTenant claims the record).
-  return RegisterTenantLocked(key, *request.cluster);
+  return built;
 }
 
 void PlannerService::FinishRequest(
@@ -311,20 +226,26 @@ PlanHandle PlannerService::Submit(PlanRequest request) {
     return PlanHandle(failed.get_future(), std::move(source));
   };
 
+  if (!request.cluster.has_value()) {
+    return fail(std::make_exception_ptr(std::invalid_argument(
+        "PlanRequest names no cluster; set PlanRequest::cluster to the "
+        "machine to plan for")));
+  }
+  // The tenant key (cluster fingerprint plus options digest), built once
+  // per request and outside the registry lock.
+  const EngineOptions engine_options = EffectiveEngineOptions(request);
+  const std::string key = TenantKey(*request.cluster, engine_options);
+
   // Admission, under the registry lock: attribute the submission to its
-  // tenant record — registering an engine-less one on a new fingerprint —
-  // and check drain state and the in-flight caps. Over-limit fails fast
-  // with PlanRejected through the (already-failed) handle: no silent
-  // queuing, and Plan() = Submit().get() surfaces it uniformly.
+  // tenant record — registering an engine-less one on a new key — and
+  // check drain state and the in-flight caps. Over-limit fails fast with
+  // PlanRejected through the (already-failed) handle: no silent queuing,
+  // and Plan() = Submit().get() surfaces it uniformly.
   Tenant* tenant = nullptr;
   std::int64_t id = 0;
   {
     std::unique_lock<std::mutex> lock(tenants_mu_);
-    try {
-      tenant = &AdmitTenantLocked(request);
-    } catch (...) {
-      return fail(std::current_exception());
-    }
+    tenant = &TenantRecordLocked(key, *request.cluster, engine_options);
     if (draining_) {
       ++tenant->stats.rejected;
       return fail(std::make_exception_ptr(
@@ -353,8 +274,8 @@ PlanHandle PlannerService::Submit(PlanRequest request) {
     active_.emplace(id, source);
   }
 
-  // The request runs as a pool task so Submit returns immediately — tenant
-  // resolution included, so a request racing onto a new fingerprint never
+  // The request runs as a pool task so Submit returns immediately — engine
+  // construction included, so a request racing onto a new fingerprint never
   // blocks the submitter behind an Engine construction. The pipeline's own
   // work items join the pool through a separate TaskGroup, and the
   // orchestrating task *helps* execute them while waiting (see
@@ -369,18 +290,18 @@ PlanHandle PlannerService::Submit(PlanRequest request) {
        submitted]() {
         try {
           // Aborted while queued (deadline already past, cancelled before a
-          // worker picked it up): unwind before resolving anything.
+          // worker picked it up): unwind before building anything.
           token.ThrowIfCancelled();
-          Tenant& resolved = TenantForRequest(request);
-          Pipeline pipeline(*this, *resolved.engine,
+          Pipeline pipeline(cache_, pool_, lowering_memo_,
+                            BuildEngine(*tenant),
                             PipelineOptions{
                                 .measure_top_k = request.measure_top_k,
-                                .tenant = resolved.id,
+                                .tenant = tenant->id,
                                 .cancel = token,
                             });
           ExperimentResult result =
               pipeline.Run(request.axes, request.reduction_axes);
-          AccumulateTenantStats(resolved, result);
+          AccumulateTenantStats(*tenant, result);
           FinishRequest(id, *tenant, nullptr, submitted);
           return result;
         } catch (...) {
@@ -427,16 +348,14 @@ ExperimentResult PlannerService::Plan(PlanRequest request) {
   return Submit(std::move(request)).get();
 }
 
-ExperimentResult PlannerService::Plan(std::span<const std::int64_t> axes,
-                                      std::span<const int> reduction_axes) {
-  PlanRequest request;
-  request.axes.assign(axes.begin(), axes.end());
-  request.reduction_axes.assign(reduction_axes.begin(), reduction_axes.end());
-  return Plan(std::move(request));
-}
-
 const Engine& PlannerService::EngineFor(const topology::Cluster& cluster) {
-  return *ResolveTenant(cluster, options_.engine).engine;
+  const std::string key = TenantKey(cluster, options_.engine);
+  Tenant* tenant = nullptr;
+  {
+    std::unique_lock<std::mutex> lock(tenants_mu_);
+    tenant = &TenantRecordLocked(key, cluster, options_.engine);
+  }
+  return BuildEngine(*tenant);
 }
 
 CacheLoadStatus PlannerService::cache_load_status() const {

@@ -28,23 +28,21 @@
 //                            every tenant of a multi-tenant service)
 //
 //   Pipeline (engine/pipeline.h) is the stateless per-query executor that
-//   borrows cache + pool from the service and evaluates on the engine the
-//   request's cluster resolves to. Every request gets its placements'
-//   programs through the shared SynthesisCache; no request bypasses it, so
-//   a cache_file always sees every request's entries.
+//   borrows the cache, the lowering memo and the pool from the service and
+//   evaluates on the engine of the request's cluster. Every request gets its
+//   placements' programs through the shared SynthesisCache; no request
+//   bypasses it, so a cache_file always sees every request's entries.
 //
-// Two entry points: Submit(PlanRequest) returns a std::future immediately
-// and runs the request as pool tasks (requests overlap: their placements
-// are decomposed into work items scheduled round-robin across requests),
-// while Plan(...) blocks. A request names its cluster via
-// PlanRequest::cluster; without one it goes to the service's *default
-// tenant* (the engine the compatibility constructor registered), so
-// single-cluster call sites keep working unchanged. Either way a request's
-// placements are merged in placement order, so its ExperimentResult is
-// byte-identical to the same request on a dedicated single-cluster service
-// — at any thread count, under any submission order, and regardless of
-// which other tenants are in flight (modulo wall-clock fields and
-// cache-attribution counters; the program lists, predictions and
+// Two entry points: Submit(PlanRequest) returns a handle immediately and
+// runs the request as pool tasks (requests overlap: their placements are
+// decomposed into work items scheduled round-robin across requests), while
+// Plan(PlanRequest) blocks. Every request names its machine in
+// PlanRequest::cluster; one without a cluster fails at Submit with
+// std::invalid_argument. A request's placements are merged in placement
+// order, so its ExperimentResult is byte-identical to the same request on a
+// service of its own — at any thread count, under any submission order, and
+// regardless of which other tenants are in flight (modulo wall-clock fields
+// and cache-attribution counters; the program lists, predictions and
 // measurements never change).
 #ifndef P2_ENGINE_SERVICE_H_
 #define P2_ENGINE_SERVICE_H_
@@ -57,7 +55,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -149,10 +146,8 @@ struct PlannerServiceOptions {
   /// sharded workers (tools/p2_shard) dedup synthesis across processes.
   /// nullptr (the default) is local-only.
   std::shared_ptr<RemoteCacheBackend> remote_cache;
-  /// EngineOptions for engines the service constructs itself for
-  /// request-supplied clusters. The compatibility constructor overwrites
-  /// this with the borrowed engine's options, so requests naming a cluster
-  /// evaluate under the same knobs as the default tenant.
+  /// EngineOptions of the engines the service constructs for the requests'
+  /// clusters (PlanRequest::max_programs overrides the synthesis cap).
   EngineOptions engine;
   /// Admission cap on concurrently in-flight requests service-wide; a
   /// Submit beyond it fails fast with PlanRejected through the returned
@@ -169,8 +164,7 @@ struct PlannerServiceOptions {
 };
 
 /// One planning query: evaluate every placement of `axes` on the engine of
-/// `cluster` (or of the service's default tenant), reducing over
-/// `reduction_axes`.
+/// `cluster`, reducing over `reduction_axes`.
 struct PlanRequest {
   std::vector<std::int64_t> axes;
   std::vector<int> reduction_axes;
@@ -180,10 +174,9 @@ struct PlanRequest {
   int measure_top_k = -1;
   /// Tenant selector: the machine to plan for. The service resolves it to
   /// an engine through the registry (constructing one on a new
-  /// fingerprint), so one service serves any number of clusters. Without
-  /// it the request goes to the default tenant; a request with neither a
-  /// cluster nor a default tenant fails (std::invalid_argument through the
-  /// future).
+  /// fingerprint), so one service serves any number of clusters. Required:
+  /// a request without it fails at Submit (std::invalid_argument through
+  /// the handle).
   std::optional<topology::Cluster> cluster;
   /// Deadline relative to Submit(): once it passes, the request aborts at
   /// its next cancellation checkpoint and its future carries
@@ -192,8 +185,7 @@ struct PlanRequest {
   /// > 0: cap the synthesized program list per hierarchy at this many
   /// programs instead of the service's engine default — what a wire client
   /// tunes per request. The override is part of the tenant identity (the
-  /// options digest includes the cap), so it requires PlanRequest::cluster;
-  /// an override without a cluster fails with std::invalid_argument.
+  /// options digest includes the cap), so it plans on an engine of its own.
   /// <= 0 (the default) keeps the engine's configured cap.
   std::int64_t max_programs = 0;
 };
@@ -279,9 +271,8 @@ struct PlannerServiceStats {
   /// Entries the cache-file load pruned as older than
   /// PlannerServiceOptions::cache_ttl_seconds.
   std::int64_t cache_entries_expired = 0;
-  /// Engines actually constructed by the registry (excludes the borrowed
-  /// default engine of the compatibility constructor); requests racing on
-  /// one new fingerprint construct exactly one.
+  /// Engines constructed by the registry; requests racing on one new
+  /// fingerprint construct exactly one.
   std::int64_t engines_constructed = 0;
   SynthesisCacheStats cache;  ///< shared-cache totals across all requests
   int threads = 1;
@@ -312,16 +303,9 @@ struct PlannerServiceStats {
 
 class PlannerService {
  public:
-  /// A multi-tenant service with no default tenant: every request must name
-  /// its cluster. A non-empty cache_file is loaded here; see
-  /// cache_load_status() for how that went.
+  /// A multi-tenant service: every request names its cluster. A non-empty
+  /// cache_file is loaded here; see cache_load_status() for how that went.
   explicit PlannerService(PlannerServiceOptions options = {});
-  /// Compatibility constructor: registers `engine` (borrowed — it must
-  /// outlive the service) as the default tenant, so requests without a
-  /// cluster keep working, and adopts its EngineOptions for
-  /// request-supplied clusters.
-  explicit PlannerService(const Engine& engine,
-                          PlannerServiceOptions options = {});
   /// Drains through BeginDrain(options().drain_grace) — waits for (or,
   /// after the grace, cancels) every outstanding Submit()ted request and
   /// persists the cache — then joins the pool.
@@ -334,33 +318,28 @@ class PlannerService {
   /// The process-wide signature cache shared by every request.
   SynthesisCache& cache() { return cache_; }
   const SynthesisCache& cache() const { return cache_; }
-  /// The shared worker pool (per-query executors borrow it via TaskGroups).
-  ThreadPool& pool() { return pool_; }
   /// The process-wide memo of synthesis-level program replays
   /// (core::LoweringMemo), shared by every request and tenant: a replay
   /// depends only on the hierarchy's levels and the program, never on the
   /// cluster.
   core::LoweringMemo& lowering_memo() { return lowering_memo_; }
 
-  /// Resolves `cluster` to its tenant engine, registering it (and
-  /// constructing the Engine, exactly once even under races) if the
-  /// fingerprint is new. The reference stays valid for the service's
-  /// lifetime — tenants are never evicted.
+  /// Resolves `cluster` to its tenant engine under options().engine,
+  /// registering it (and constructing the Engine, exactly once even under
+  /// races) if the fingerprint is new. The reference stays valid for the
+  /// service's lifetime — tenants are never evicted.
   const Engine& EngineFor(const topology::Cluster& cluster);
-  /// The default tenant's engine, or nullptr when the service was built
-  /// without one.
-  const Engine* default_engine() const;
 
   /// Enqueues a request and returns immediately. The request runs as tasks
   /// on the shared pool, interleaved fairly with other in-flight requests;
   /// the handle's future carries its ExperimentResult (or the first
-  /// exception its evaluation threw, including the tenant-resolution
-  /// failure of a request with neither a cluster nor a default tenant).
-  /// Admission control applies here: beyond max_in_flight (service-wide or
-  /// per-tenant) or once draining, the handle is already failed with
-  /// PlanRejected and no work starts. A PlanRequest::deadline starts
-  /// counting now. With threads <= 1 the request runs synchronously here
-  /// and the handle is already ready.
+  /// exception its evaluation threw, the engine construction's included).
+  /// A request without a cluster fails here with std::invalid_argument
+  /// through the handle, before admission. Admission control applies here:
+  /// beyond max_in_flight (service-wide or per-tenant) or once draining,
+  /// the handle is already failed with PlanRejected and no work starts. A
+  /// PlanRequest::deadline starts counting now. With threads <= 1 the
+  /// request runs synchronously here and the handle is already ready.
   PlanHandle Submit(PlanRequest request);
 
   /// Graceful shutdown, reusable and idempotent: new submissions are
@@ -377,9 +356,6 @@ class PlannerService {
 
   /// Blocking single query (Submit + get).
   ExperimentResult Plan(PlanRequest request);
-  /// Compatibility overload: plans on the default tenant.
-  ExperimentResult Plan(std::span<const std::int64_t> axes,
-                        std::span<const int> reduction_axes);
 
   /// How the cache-file load at construction went: kNotConfigured without a
   /// cache_file, kNoFile on a cold start, kOk, or a corruption status (the
@@ -417,7 +393,8 @@ class PlannerService {
     std::int64_t id = 0;
     std::string fingerprint;
     topology::Cluster cluster;
-    std::shared_ptr<const Engine> engine;
+    EngineOptions engine_options;  ///< what `engine` is constructed with
+    std::unique_ptr<const Engine> engine;
     std::shared_future<void> built;
     TenantStats stats;  ///< guarded by tenants_mu_
     /// This tenant's currently in-flight requests (guarded by tenants_mu_;
@@ -425,33 +402,19 @@ class PlannerService {
     std::int64_t in_flight = 0;
   };
 
-  /// Creates and publishes a fresh Tenant record under `key` (tenants_mu_
-  /// held); the caller fills in `engine` or `built` before releasing the
-  /// lock.
-  Tenant& RegisterTenantLocked(const std::string& key,
-                               const topology::Cluster& cluster);
-  /// Registry lookup/registration with construct-once semantics; throws
-  /// whatever Engine's constructor throws (after withdrawing the tenant).
-  /// `engine_options` is part of the tenant identity — a request-level
-  /// max_programs override resolves to its own tenant.
-  Tenant& ResolveTenant(const topology::Cluster& cluster,
-                        const EngineOptions& engine_options);
+  /// The tenant record under `key` (TenantKey of `cluster` and
+  /// `engine_options`), registering an engine-less one on a new key
+  /// (tenants_mu_ held).
+  Tenant& TenantRecordLocked(const std::string& key,
+                             const topology::Cluster& cluster,
+                             const EngineOptions& engine_options);
+  /// The record's engine, constructed exactly once even when requests race
+  /// on it; throws whatever Engine's constructor throws, leaving the record
+  /// engine-less for the next request to retry.
+  const Engine& BuildEngine(Tenant& tenant);
   /// The service's EngineOptions with the request's per-request overrides
   /// (max_programs) applied.
   EngineOptions EffectiveEngineOptions(const PlanRequest& request) const;
-  /// Registers an already-built engine (borrowed or owned).
-  Tenant& AdoptTenant(const topology::Cluster& cluster,
-                      const EngineOptions& engine_options,
-                      std::shared_ptr<const Engine> engine);
-  /// The tenant a request addresses (default tenant when it has no
-  /// cluster); throws std::invalid_argument when there is neither.
-  Tenant& TenantForRequest(const PlanRequest& request);
-  /// The tenant *record* a request will be attributed to, registering an
-  /// engine-less one on a new fingerprint (tenants_mu_ held). The Submit
-  /// path needs the record for admission before any engine exists; the
-  /// request task later resolves/constructs the engine into it. Throws
-  /// std::invalid_argument for a request with neither cluster nor default.
-  Tenant& AdmitTenantLocked(const PlanRequest& request);
   /// Books completion of in-flight request `id` (admission bookkeeping,
   /// abort classification from `error`, submit→complete latency measured
   /// from `submitted`, drain wake-up).
@@ -476,7 +439,6 @@ class PlannerService {
   /// keeps two tenants with one machine but different evaluation knobs
   /// (algo, payload, synthesis caps) from silently sharing an engine.
   std::unordered_map<std::string, Tenant*> tenant_by_key_;
-  Tenant* default_tenant_ = nullptr;
   std::int64_t engines_constructed_ = 0;
   /// Monotonic id source (never tenants_.size(), so ids are stable however
   /// the registry is grown — the id is the cache's cross-tenant

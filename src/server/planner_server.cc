@@ -341,7 +341,7 @@ void PlannerServer::RequestShutdown(int keep_fd) {
   // acknowledges a shutdown before the drain is actually complete.
   std::lock_guard<std::mutex> serialize(shutdown_mu_);
   if (!shutting_down_.exchange(true, std::memory_order_acq_rel)) {
-    service_.BeginDrain(options_.drain_grace);
+    service_.BeginDrain(service_.options().drain_grace);
     // Wakes the accept() with an error; the accept loop exits.
     ::shutdown(listen_fd_, SHUT_RDWR);
   }

@@ -40,7 +40,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -59,10 +58,6 @@ struct PlannerServerOptions {
   /// TCP port to bind on the loopback interface; 0 picks an ephemeral port
   /// (read it back via port()).
   int port = 0;
-  /// Grace passed to PlannerService::BeginDrain at shutdown: in-flight
-  /// requests get this long to finish before being cooperatively cancelled.
-  /// nullopt waits for them indefinitely.
-  std::optional<std::chrono::milliseconds> drain_grace;
   /// Serve the cache plane (frame types 8-11): sharded workers
   /// (tools/p2_shard) look synthesis entries up here before synthesizing
   /// and publish completions back. Off by default; cache frames on a
@@ -113,8 +108,8 @@ class PlannerServer {
   int port() const { return port_; }
 
   /// Graceful stop, callable from any non-connection thread: drains the
-  /// service (BeginDrain with options.drain_grace), stops accepting, closes
-  /// every connection and joins all threads. Idempotent.
+  /// service (BeginDrain with the service's own drain_grace), stops
+  /// accepting, closes every connection and joins all threads. Idempotent.
   void Shutdown();
 
   /// Blocks until a shutdown is requested — by Shutdown() or by a client's

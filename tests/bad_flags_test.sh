@@ -56,10 +56,12 @@ expect --num-shards "$shard" --num-shards=4294967297
 expect --system "$shard" --system=x100
 expect --merge "$shard" --merge=no no-such-shard-file.txt
 
-# The benches take only values their parser rejects here: a thread count it
-# accepted would start that many threads.
+# The benches take only values their parser rejects here, or a --json path
+# they cannot open, which they check before any work starts: a thread count
+# they accepted would start that many threads.
 expect --smoke "$synth" --smoke=abc
 expect --json "$synth" --json=
+expect --json "$synth" --json=/nonexistent-dir/x.json
 expect --threads "$synth" --threads=abc
 expect THREADS "$pipeline" 0
 expect THREADS "$pipeline" 1025
@@ -67,6 +69,7 @@ expect THREADS "$pipeline" 4294967298
 expect THREADS "$pipeline" abc
 expect THREADS "$pipeline" abc 0
 expect --json "$pipeline" --json=
+expect --json "$pipeline" --json=/nonexistent-dir/x.json
 
 if [ "$failures" -ne 0 ]; then
   echo "$failures command lines were not rejected"

@@ -336,16 +336,16 @@ TEST(Cli, UnknownFlagsErrorInsteadOfBeingIgnored) {
   EXPECT_NE(error.find("unrecognized argument: fuse"), std::string::npos);
 }
 
-TEST(Cli, ClusterFromOptions) {
+TEST(Cli, SystemAndNodesNameOnePreset) {
   std::string error;
   const auto a100 = Parse({"--axes=8,4", "--reduce=0", "--nodes=2"}, &error);
   ASSERT_TRUE(a100.has_value());
-  EXPECT_EQ(ClusterFromOptions(*a100).num_devices(), 32);
+  EXPECT_EQ(ClusterFromPreset({a100->system, a100->nodes}).num_devices(), 32);
   const auto v100 = Parse({"--system=v100", "--nodes=4", "--axes=8,4",
                            "--reduce=0"},
                           &error);
   ASSERT_TRUE(v100.has_value());
-  EXPECT_EQ(ClusterFromOptions(*v100).num_devices(), 32);
+  EXPECT_EQ(ClusterFromPreset({v100->system, v100->nodes}).num_devices(), 32);
 }
 
 TEST(Cli, RunReportsAxisMismatch) {

@@ -164,24 +164,6 @@ TEST(CostModel, SingleMemberGroupCostsNothing) {
   }
 }
 
-TEST(CostModel, CachedSortedOrdersMatchFallback) {
-  // A step lowered by LowerProgram carries precomputed sorted orders; the
-  // same step with the cache stripped must predict the identical time via
-  // the scratch fallback.
-  const CostModel model(topology::MakeA100Cluster(2));
-  const auto lowered = LowerOn(ParallelismMatrix({{2, 8}, {1, 2}}), {0},
-                               engine::DefaultAllReduceProgram());
-  for (const auto& step : lowered.steps) {
-    ASSERT_EQ(step.sorted_orders.size(), step.groups.size());
-    auto stripped = step;
-    stripped.sorted_orders.clear();
-    for (const auto algo : {NcclAlgo::kRing, NcclAlgo::kTree}) {
-      EXPECT_EQ(model.PredictStep(step, 4e9, algo),
-                model.PredictStep(stripped, 4e9, algo));
-    }
-  }
-}
-
 TEST(CostModel, ConcurrentGroupsShareNics) {
   const CostModel model(topology::MakeA100Cluster(2));
   // One cross-node pair vs eight concurrent cross-node pairs: the shared

@@ -113,6 +113,20 @@ TEST(Engine, RunExperimentAggregates) {
   EXPECT_EQ(result.algo, core::NcclAlgo::kRing);
 }
 
+TEST(Engine, RunExperimentPlansOnTheCallersEngine) {
+  // RunExperiment runs its pipeline on this engine, so the second identical
+  // call finds every step it measures in the executor's step memo.
+  const Engine eng(topology::MakeA100Cluster(2), FastOptions());
+  const std::vector<std::int64_t> axes = {8, 4};
+  const std::vector<int> raxes = {0};
+  const auto first = eng.RunExperiment(axes, raxes);
+  const std::size_t memoized = eng.executor().memoized_steps();
+  EXPECT_GT(memoized, 0u);
+  const auto second = eng.RunExperiment(axes, raxes);
+  EXPECT_EQ(eng.executor().memoized_steps(), memoized);
+  EXPECT_EQ(CanonicalResultText(second), CanonicalResultText(first));
+}
+
 TEST(Engine, MeasureCanBeDisabled) {
   EngineOptions opts = FastOptions();
   opts.measure = false;

@@ -75,22 +75,32 @@ PlannerServiceOptions PersistentOptions(const std::string& path,
   options.threads = 2;
   options.cache_file = path;
   options.cache_readonly = readonly;
+  options.engine = FastOptions();
   return options;
 }
 
+PlanRequest RequestFor(
+    const std::vector<std::int64_t>& axes, const std::vector<int>& reduce,
+    const topology::Cluster& cluster = topology::MakeA100Cluster(2)) {
+  PlanRequest request;
+  request.axes = axes;
+  request.reduction_axes = reduce;
+  request.cluster = cluster;
+  return request;
+}
+
 TEST(PipelinePersistence, WarmRunIsByteIdenticalWithZeroSynthesisSeconds) {
-  const Engine engine(topology::MakeA100Cluster(2), FastOptions());
   const std::string path = TempPath("differential");
   const auto grid = SmallGrid();
 
   // Cold run: nothing on disk yet.
   std::vector<ExperimentResult> cold;
   {
-    PlannerService service(engine, PersistentOptions(path));
+    PlannerService service(PersistentOptions(path));
     EXPECT_EQ(service.cache_load_status(), CacheLoadStatus::kNoFile);
     EXPECT_EQ(service.cache_entries_loaded(), 0);
     for (const auto& cfg : grid) {
-      cold.push_back(service.Plan(cfg.axes, cfg.reduction_axes));
+      cold.push_back(service.Plan(RequestFor(cfg.axes, cfg.reduction_axes)));
     }
     for (const auto& result : cold) {
       EXPECT_EQ(result.pipeline.cache.disk_hits, 0);
@@ -100,12 +110,12 @@ TEST(PipelinePersistence, WarmRunIsByteIdenticalWithZeroSynthesisSeconds) {
   ASSERT_TRUE(std::filesystem::exists(path));
 
   // Warm run: a fresh service — a different "process" — reads the file.
-  PlannerService service(engine, PersistentOptions(path));
+  PlannerService service(PersistentOptions(path));
   EXPECT_EQ(service.cache_load_status(), CacheLoadStatus::kOk);
   EXPECT_GT(service.cache_entries_loaded(), 0);
   std::vector<ExperimentResult> warm;
   for (const auto& cfg : grid) {
-    warm.push_back(service.Plan(cfg.axes, cfg.reduction_axes));
+    warm.push_back(service.Plan(RequestFor(cfg.axes, cfg.reduction_axes)));
   }
 
   ASSERT_EQ(warm.size(), cold.size());
@@ -163,17 +173,15 @@ TEST(PipelinePersistence, ReportTableIsByteIdenticalColdVsWarm) {
 }
 
 TEST(PipelinePersistence, ReadonlyNeverCreatesOrModifiesTheFile) {
-  const Engine engine(topology::MakeA100Cluster(2), FastOptions());
   const std::vector<std::int64_t> axes = {8, 4};
   const std::vector<int> reduce = {0};
 
   // Readonly against a missing file: runs cold, never creates the file.
   const std::string missing = TempPath("readonly_missing");
   {
-    PlannerService service(engine,
-                           PersistentOptions(missing, /*readonly=*/true));
+    PlannerService service(PersistentOptions(missing, /*readonly=*/true));
     EXPECT_EQ(service.cache_load_status(), CacheLoadStatus::kNoFile);
-    const auto result = service.Plan(axes, reduce);
+    const auto result = service.Plan(RequestFor(axes, reduce));
     EXPECT_GT(result.pipeline.cache.misses, 0);
     EXPECT_TRUE(service.SaveCache());  // a successful no-op
   }
@@ -183,21 +191,21 @@ TEST(PipelinePersistence, ReadonlyNeverCreatesOrModifiesTheFile) {
   // untouched even though the run synthesized nothing new to add.
   const std::string path = TempPath("readonly");
   {
-    PlannerService writer(engine, PersistentOptions(path));
-    writer.Plan(axes, reduce);
+    PlannerService writer(PersistentOptions(path));
+    writer.Plan(RequestFor(axes, reduce));
     ASSERT_TRUE(writer.SaveCache());
   }
   const std::string bytes_before = ReadFile(path);
   {
-    PlannerService reader(engine, PersistentOptions(path, /*readonly=*/true));
+    PlannerService reader(PersistentOptions(path, /*readonly=*/true));
     EXPECT_EQ(reader.cache_load_status(), CacheLoadStatus::kOk);
-    const auto result = reader.Plan(axes, reduce);
+    const auto result = reader.Plan(RequestFor(axes, reduce));
     EXPECT_EQ(result.pipeline.cache.misses, 0);
     EXPECT_GT(result.pipeline.cache.disk_hits, 0);
     // Even new synthesis results must not leak to disk under readonly.
     const std::vector<std::int64_t> other_axes = {4, 8};
     const std::vector<int> other_reduce = {1};
-    reader.Plan(other_axes, other_reduce);
+    reader.Plan(RequestFor(other_axes, other_reduce));
     EXPECT_TRUE(reader.SaveCache());
   }
   EXPECT_EQ(ReadFile(path), bytes_before);
@@ -205,7 +213,6 @@ TEST(PipelinePersistence, ReadonlyNeverCreatesOrModifiesTheFile) {
 }
 
 TEST(PipelinePersistence, CorruptFileRunsColdAndIsRepairedOnSave) {
-  const Engine engine(topology::MakeA100Cluster(2), FastOptions());
   const std::string path = TempPath("corrupt");
   {
     std::ofstream out(path, std::ios::binary);
@@ -214,17 +221,18 @@ TEST(PipelinePersistence, CorruptFileRunsColdAndIsRepairedOnSave) {
   const std::vector<std::int64_t> axes = {8, 4};
   const std::vector<int> reduce = {0};
   {
-    PlannerService service(engine, PersistentOptions(path));
+    PlannerService service(PersistentOptions(path));
     EXPECT_EQ(service.cache_load_status(), CacheLoadStatus::kBadMagic);
     EXPECT_TRUE(IsCorrupt(service.cache_load_status()));
     EXPECT_FALSE(service.cache_load_message().empty());
-    const auto result = service.Plan(axes, reduce);  // cold, not a crash
+    // Cold, not a crash.
+    const auto result = service.Plan(RequestFor(axes, reduce));
     EXPECT_GT(result.pipeline.cache.misses, 0);
     ASSERT_TRUE(service.SaveCache());  // save-over-corrupt recovers
   }
-  PlannerService service(engine, PersistentOptions(path));
+  PlannerService service(PersistentOptions(path));
   EXPECT_EQ(service.cache_load_status(), CacheLoadStatus::kOk);
-  const auto result = service.Plan(axes, reduce);
+  const auto result = service.Plan(RequestFor(axes, reduce));
   EXPECT_EQ(result.pipeline.cache.misses, 0);
   EXPECT_GT(result.pipeline.cache.disk_hits, 0);
   std::filesystem::remove(path);
@@ -241,9 +249,8 @@ TEST(PipelinePersistence, SingleClusterFileWarmsAMultiTenantService) {
 
   // Writer: a dedicated single-cluster service on the A100 system.
   {
-    const Engine engine(topology::MakeA100Cluster(2), FastOptions());
-    PlannerService writer(engine, PersistentOptions(path));
-    writer.Plan(axes, reduce);
+    PlannerService writer(PersistentOptions(path));
+    writer.Plan(RequestFor(axes, reduce));
     ASSERT_TRUE(writer.SaveCache());
   }
 
@@ -251,42 +258,35 @@ TEST(PipelinePersistence, SingleClusterFileWarmsAMultiTenantService) {
   // The V100 tenant's (8, 4) placements factor the reduction axis the same
   // way over an equally-deep hierarchy, so even the tenant the writer never
   // saw is served from disk.
-  PlannerServiceOptions options = PersistentOptions(path, /*readonly=*/true);
-  options.engine = FastOptions();
-  PlannerService service(options);
+  PlannerService service(PersistentOptions(path, /*readonly=*/true));
   EXPECT_EQ(service.cache_load_status(), CacheLoadStatus::kOk);
   EXPECT_GT(service.cache_entries_loaded(), 0);
 
-  PlanRequest on_a100;
-  on_a100.axes = axes;
-  on_a100.reduction_axes = reduce;
-  on_a100.cluster = topology::MakeA100Cluster(2);
-  PlanRequest on_v100 = on_a100;
-  on_v100.cluster = topology::MakeV100Cluster(4);
-
-  const auto a100_result = service.Plan(std::move(on_a100));
+  const auto a100_result = service.Plan(RequestFor(axes, reduce));
   EXPECT_EQ(a100_result.pipeline.cache.misses, 0);
   EXPECT_GT(a100_result.pipeline.cache.disk_hits, 0);
 
-  const auto v100_result = service.Plan(std::move(on_v100));
+  const PlanRequest on_v100 =
+      RequestFor(axes, reduce, topology::MakeV100Cluster(4));
+  const auto v100_result = service.Plan(on_v100);
   EXPECT_GT(v100_result.pipeline.cache.disk_hits, 0)
       << "the V100 tenant must reuse hierarchies the A100 run persisted";
   // Disk-warmed results still match a cold dedicated service bit for bit.
-  const Engine v100_engine(topology::MakeV100Cluster(4), FastOptions());
-  PlannerService cold(v100_engine, PlannerServiceOptions{.threads = 1});
+  PlannerServiceOptions cold_options;
+  cold_options.engine = FastOptions();
+  PlannerService cold(cold_options);
   EXPECT_EQ(ToJson(WithoutTimings(v100_result)),
-            ToJson(WithoutTimings(cold.Plan(axes, reduce))));
+            ToJson(WithoutTimings(cold.Plan(on_v100))));
   std::filesystem::remove(path);
 }
 
 TEST(PipelinePersistence, TtlExpiresStaleEntriesAndSparesStamplessOnes) {
-  const Engine engine(topology::MakeA100Cluster(2), FastOptions());
   const std::vector<std::int64_t> axes = {8, 4};
   const std::vector<int> reduce = {0};
   const std::string fresh_path = TempPath("ttl_fresh");
   {
-    PlannerService writer(engine, PersistentOptions(fresh_path));
-    writer.Plan(axes, reduce);
+    PlannerService writer(PersistentOptions(fresh_path));
+    writer.Plan(RequestFor(axes, reduce));
     ASSERT_TRUE(writer.SaveCache());
   }
 
@@ -337,11 +337,11 @@ TEST(PipelinePersistence, TtlExpiresStaleEntriesAndSparesStamplessOnes) {
   {
     PlannerServiceOptions options = PersistentOptions(stale_path);
     options.cache_ttl_seconds = 3600;
-    PlannerService service(engine, options);
+    PlannerService service(options);
     EXPECT_EQ(service.cache_load_status(), CacheLoadStatus::kOk);
     EXPECT_EQ(service.cache_entries_loaded(), 0);
     EXPECT_GT(service.stats().cache_entries_expired, 0);
-    const auto result = service.Plan(axes, reduce);
+    const auto result = service.Plan(RequestFor(axes, reduce));
     EXPECT_GT(result.pipeline.cache.misses, 0);
     EXPECT_EQ(result.pipeline.cache.disk_hits, 0);
     EXPECT_NE(RenderServiceStats(service.stats()).find("expired"),
@@ -361,10 +361,10 @@ TEST(PipelinePersistence, TtlExpiresStaleEntriesAndSparesStamplessOnes) {
   {
     PlannerServiceOptions options = PersistentOptions(stampless_path);
     options.cache_ttl_seconds = 1;
-    PlannerService service(engine, options);
+    PlannerService service(options);
     EXPECT_GT(service.cache_entries_loaded(), 0);
     EXPECT_EQ(service.stats().cache_entries_expired, 0);
-    const auto result = service.Plan(axes, reduce);
+    const auto result = service.Plan(RequestFor(axes, reduce));
     EXPECT_EQ(result.pipeline.cache.misses, 0);
     EXPECT_GT(result.pipeline.cache.disk_hits, 0);
   }
@@ -374,7 +374,6 @@ TEST(PipelinePersistence, TtlExpiresStaleEntriesAndSparesStamplessOnes) {
 }
 
 TEST(PipelinePersistence, SecondsSavedAccumulateAcrossRuns) {
-  const Engine engine(topology::MakeA100Cluster(2), FastOptions());
   const std::string path = TempPath("accounting");
   const std::vector<std::int64_t> axes = {8, 2, 2};
   const std::vector<int> reduce = {0};
@@ -385,13 +384,13 @@ TEST(PipelinePersistence, SecondsSavedAccumulateAcrossRuns) {
 
   double cold_counterfactual = 0.0;
   {
-    PlannerService service(engine, options);
-    const auto result = service.Plan(axes, reduce);
+    PlannerService service(options);
+    const auto result = service.Plan(RequestFor(axes, reduce));
     cold_counterfactual = result.TotalSynthesisSeconds();
     ASSERT_TRUE(service.SaveCache());
   }
-  PlannerService service(engine, options);
-  const auto result = service.Plan(axes, reduce);
+  PlannerService service(options);
+  const auto result = service.Plan(RequestFor(axes, reduce));
   // The warm run's cross-run savings equal the cold run's counterfactual
   // synthesis cost: each placement's hit re-credits its persisted seconds.
   // NEAR, not DOUBLE_EQ, out of caution: both sides sum the same doubles,

@@ -26,6 +26,22 @@ EngineOptions FastOptions() {
 const std::vector<std::int64_t> kAxes = {8, 2, 2};
 const std::vector<int> kReduce = {0};
 
+PlannerServiceOptions ServiceOptions(int threads) {
+  PlannerServiceOptions options;
+  options.threads = threads;
+  options.engine = FastOptions();
+  return options;
+}
+
+// kAxes reduced over kReduce on 2 A100 nodes.
+PlanRequest Request() {
+  PlanRequest request;
+  request.axes = kAxes;
+  request.reduction_axes = kReduce;
+  request.cluster = topology::MakeA100Cluster(2);
+  return request;
+}
+
 // Strips the wall-clock fields (the only run-to-run nondeterminism) so runs
 // can be compared byte for byte via their JSON form.
 ExperimentResult WithoutTimings(ExperimentResult result) {
@@ -38,25 +54,19 @@ ExperimentResult WithoutTimings(ExperimentResult result) {
 }
 
 TEST(Pipeline, ResultIsIdenticalAtAnyThreadCount) {
-  const Engine eng(topology::MakeA100Cluster(2), FastOptions());
-  PlannerService serial(eng, PlannerServiceOptions{.threads = 1});
-  const std::string reference =
-      ToJson(WithoutTimings(serial.Plan(kAxes, kReduce)));
+  PlannerService serial(ServiceOptions(1));
+  const std::string reference = ToJson(WithoutTimings(serial.Plan(Request())));
   EXPECT_NE(reference.find("\"placements\":["), std::string::npos);
   for (int threads : {4, 8}) {
-    PlannerService parallel(eng, PlannerServiceOptions{.threads = threads});
-    EXPECT_EQ(ToJson(WithoutTimings(parallel.Plan(kAxes, kReduce))),
-              reference)
+    PlannerService parallel(ServiceOptions(threads));
+    EXPECT_EQ(ToJson(WithoutTimings(parallel.Plan(Request()))), reference)
         << "threads=" << threads;
   }
 }
 
 TEST(Pipeline, MatchesTheCachelessSerialPath) {
   const Engine eng(topology::MakeA100Cluster(2), FastOptions());
-  PlannerService cached_service(eng, PlannerServiceOptions{.threads = 4});
-  PlanRequest cached;
-  cached.axes = kAxes;
-  cached.reduction_axes = kReduce;
+  PlannerService cached_service(ServiceOptions(4));
   // The reference: every placement synthesized for itself, serially.
   ExperimentResult monolith;
   monolith.axes = kAxes;
@@ -67,14 +77,13 @@ TEST(Pipeline, MatchesTheCachelessSerialPath) {
     monolith.placements.push_back(eng.EvaluatePlacement(matrix, kReduce));
   }
   EXPECT_EQ(
-      ToJson(WithoutTimings(cached_service.Plan(std::move(cached)))),
+      ToJson(WithoutTimings(cached_service.Plan(Request()))),
       ToJson(WithoutTimings(std::move(monolith))));
 }
 
 TEST(Pipeline, DedupsIsomorphicHierarchies) {
-  const Engine eng(topology::MakeA100Cluster(2), FastOptions());
-  PlannerService service(eng, PlannerServiceOptions{.threads = 2});
-  const auto result = service.Plan(kAxes, kReduce);
+  PlannerService service(ServiceOptions(2));
+  const auto result = service.Plan(Request());
   ASSERT_EQ(result.placements.size(), 3u);
   EXPECT_EQ(result.pipeline.num_placements, 3);
   EXPECT_EQ(result.pipeline.unique_hierarchies, 2);
@@ -90,11 +99,10 @@ TEST(Pipeline, DedupsIsomorphicHierarchies) {
 }
 
 TEST(Pipeline, CachePersistsAcrossRequestsOfOneService) {
-  const Engine eng(topology::MakeA100Cluster(2), FastOptions());
-  PlannerService service(eng, PlannerServiceOptions{.threads = 1});
-  const auto first = service.Plan(kAxes, kReduce);
+  PlannerService service(ServiceOptions(1));
+  const auto first = service.Plan(Request());
   EXPECT_EQ(first.pipeline.cache.misses, 2);
-  const auto second = service.Plan(kAxes, kReduce);
+  const auto second = service.Plan(Request());
   EXPECT_EQ(second.pipeline.cache.misses, 0);  // everything served from cache
   EXPECT_EQ(second.pipeline.cache.hits, 3);
   EXPECT_EQ(ToJson(WithoutTimings(first)), ToJson(WithoutTimings(second)));

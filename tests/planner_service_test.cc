@@ -35,13 +35,21 @@ EngineOptions FastOptions() {
   return opts;
 }
 
+PlannerServiceOptions ServiceOptions(int threads) {
+  PlannerServiceOptions options;
+  options.threads = threads;
+  options.engine = FastOptions();
+  return options;
+}
+
 struct Config {
   std::vector<std::int64_t> axes;
   std::vector<int> reduction_axes;
 };
 
 // Four configs of one 2-node A100 system (32 GPUs) whose placements share
-// synthesis hierarchies within and across configs.
+// synthesis hierarchies within and across configs; RequestFor names the
+// system.
 std::vector<Config> Configs() {
   return {
       {{8, 2, 2}, {0}},
@@ -55,18 +63,18 @@ PlanRequest RequestFor(const Config& config) {
   PlanRequest request;
   request.axes = config.axes;
   request.reduction_axes = config.reduction_axes;
+  request.cluster = topology::MakeA100Cluster(2);
   return request;
 }
 
 TEST(PlannerService, ConcurrentSubmissionIsDeterministic) {
-  const Engine engine(topology::MakeA100Cluster(2), FastOptions());
   const auto configs = Configs();
 
   // Reference: each config on its own cold, single-threaded service — the
   // fully serial path, unaffected by sharing of any kind.
   std::vector<std::string> reference;
   for (const auto& config : configs) {
-    PlannerService service(engine, PlannerServiceOptions{.threads = 1});
+    PlannerService service(ServiceOptions(1));
     reference.push_back(CanonicalResultText(service.Plan(RequestFor(config))));
   }
 
@@ -82,8 +90,7 @@ TEST(PlannerService, ConcurrentSubmissionIsDeterministic) {
       std::iota(order.begin(), order.end(), std::size_t{0});
       if (round > 0) std::shuffle(order.begin(), order.end(), rng);
 
-      PlannerService service(engine,
-                             PlannerServiceOptions{.threads = threads});
+      PlannerService service(ServiceOptions(threads));
       std::vector<PlanHandle> futures(configs.size());
       // The first config goes in twice in a row, so two requests race on
       // the same placements' memo keys.
@@ -112,17 +119,15 @@ TEST(PlannerService, ConcurrentSubmissionIsDeterministic) {
 }
 
 TEST(PlannerService, RacingQueriesSynthesizeEachSignatureExactlyOnce) {
-  const Engine engine(topology::MakeA100Cluster(2), FastOptions());
   // Repeat the race: every round, four copies of the same uncached query
   // land on a fresh 4-thread service at once. Whoever gets to a signature
   // first synthesizes it; the in-flight dedup makes everyone else wait and
   // then serves them — so across ALL requests each unique signature is
   // missed exactly once, deterministically, no matter how the race goes.
   for (int round = 0; round < 5; ++round) {
-    PlannerService service(engine, PlannerServiceOptions{.threads = 4});
-    PlanRequest request;
-    request.axes = {8, 2, 2};  // 3 placements, 2 unique signatures
-    request.reduction_axes = {0};
+    PlannerService service(ServiceOptions(4));
+    // 3 placements, 2 unique signatures.
+    const PlanRequest request = RequestFor(Config{{8, 2, 2}, {0}});
     std::vector<PlanHandle> futures;
     for (int i = 0; i < 4; ++i) futures.push_back(service.Submit(request));
 
@@ -156,12 +161,11 @@ TEST(PlannerService, RacingQueriesSynthesizeEachSignatureExactlyOnce) {
 // byte-identical to the serial reference, and every deferral must have been
 // resumed by exactly one fired continuation.
 TEST(PlannerService, DeferralSchedulingIsDeterministicUnderStalledOwners) {
-  const Engine engine(topology::MakeA100Cluster(2), FastOptions());
   const auto configs = Configs();
 
   std::vector<std::string> reference;
   for (const auto& config : configs) {
-    PlannerService service(engine, PlannerServiceOptions{.threads = 1});
+    PlannerService service(ServiceOptions(1));
     reference.push_back(CanonicalResultText(service.Plan(RequestFor(config))));
   }
 
@@ -181,8 +185,7 @@ TEST(PlannerService, DeferralSchedulingIsDeterministicUnderStalledOwners) {
   for (const int threads : {1, 4, 8}) {
     for (int round = 0; round < 3; ++round) {
       if (round > 0) std::shuffle(order.begin(), order.end(), rng);
-      PlannerService service(engine,
-                             PlannerServiceOptions{.threads = threads});
+      PlannerService service(ServiceOptions(threads));
       std::vector<PlanHandle> futures;
       futures.reserve(order.size());
       for (const std::size_t index : order) {
@@ -207,13 +210,12 @@ TEST(PlannerService, DeferralSchedulingIsDeterministicUnderStalledOwners) {
 // under stalled owners; every output must match the serial reference and
 // each unique signature must be synthesized exactly once.
 TEST(PlannerService, InlineServiceServesConcurrentCallers) {
-  const Engine engine(topology::MakeA100Cluster(2), FastOptions());
   const auto configs = Configs();
 
   std::vector<std::string> reference;
   std::int64_t unique_signatures = 0;
   {
-    PlannerService serial(engine, PlannerServiceOptions{.threads = 1});
+    PlannerService serial(ServiceOptions(1));
     for (const auto& config : configs) {
       reference.push_back(CanonicalResultText(serial.Plan(RequestFor(config))));
     }
@@ -225,7 +227,7 @@ TEST(PlannerService, InlineServiceServesConcurrentCallers) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
-  PlannerService service(engine, PlannerServiceOptions{.threads = 1});
+  PlannerService service(ServiceOptions(1));
   constexpr int kCallers = 4;
   std::vector<std::vector<std::string>> outputs(kCallers);
   std::vector<std::thread> callers;
@@ -262,18 +264,16 @@ TEST(PlannerService, InlineServiceServesConcurrentCallers) {
 // non-blocking path actually engages (deferred_lookups > 0) and resolves
 // without perturbing any output.
 TEST(PlannerService, DeferredRequestsResolveOnOwnerCompletion) {
-  const Engine engine(topology::MakeA100Cluster(2), FastOptions());
-  PlanRequest request;
-  request.axes = {8, 2, 2};  // 3 placements, 2 unique signatures
-  request.reduction_axes = {0};
+  // 3 placements, 2 unique signatures.
+  const PlanRequest request = RequestFor(Config{{8, 2, 2}, {0}});
 
   std::string reference;
   {
-    PlannerService serial(engine, PlannerServiceOptions{.threads = 1});
+    PlannerService serial(ServiceOptions(1));
     reference = CanonicalResultText(serial.Plan(request));
   }
 
-  PlannerService service(engine, PlannerServiceOptions{.threads = 4});
+  PlannerService service(ServiceOptions(4));
   std::atomic<bool> armed{true};
   std::atomic<bool> release{false};
   FaultScope gate([&](std::string_view point) {
@@ -312,40 +312,29 @@ TEST(PlannerService, DeferredRequestsResolveOnOwnerCompletion) {
 }
 
 TEST(PlannerService, SubmitIsAsynchronousAndFuturesCarryResults) {
-  const Engine engine(topology::MakeA100Cluster(2), FastOptions());
-  PlannerService service(engine, PlannerServiceOptions{.threads = 2});
-  PlanRequest request;
-  request.axes = {8, 4};
-  request.reduction_axes = {0};
-  auto future = service.Submit(std::move(request));
+  PlannerService service(ServiceOptions(2));
+  auto future = service.Submit(RequestFor(Config{{8, 4}, {0}}));
   const auto result = future.get();
   EXPECT_GT(result.placements.size(), 0u);
   EXPECT_EQ(result.pipeline.threads, 2);
 }
 
 TEST(PlannerService, FuturesPropagateEvaluationErrors) {
-  const Engine engine(topology::MakeA100Cluster(2), FastOptions());
   for (const int threads : {1, 2}) {
-    PlannerService service(engine,
-                           PlannerServiceOptions{.threads = threads});
-    PlanRequest request;
-    request.axes = {0};  // EnumeratePlacements rejects axes < 1
-    request.reduction_axes = {0};
-    auto future = service.Submit(std::move(request));
+    PlannerService service(ServiceOptions(threads));
+    // EnumeratePlacements rejects axes < 1.
+    auto future = service.Submit(RequestFor(Config{{0}, {0}}));
     EXPECT_THROW(future.get(), std::invalid_argument) << threads;
     // The service survives a failed request and keeps serving.
-    PlanRequest good;
-    good.axes = {8, 4};
-    good.reduction_axes = {0};
-    EXPECT_GT(service.Plan(std::move(good)).placements.size(), 0u);
+    EXPECT_GT(service.Plan(RequestFor(Config{{8, 4}, {0}})).placements.size(),
+              0u);
   }
 }
 
 TEST(PlannerService, DestructorDrainsOutstandingRequests) {
-  const Engine engine(topology::MakeA100Cluster(2), FastOptions());
   PlanHandle future;
   {
-    PlannerService service(engine, PlannerServiceOptions{.threads = 2});
+    PlannerService service(ServiceOptions(2));
     future = service.Submit(RequestFor(Configs()[0]));
     // The service goes out of scope with the request possibly in flight;
     // its destructor must drain it, not abandon or crash.
@@ -392,10 +381,8 @@ TEST(MultiTenantService, InterleavedClustersMatchDedicatedServices) {
   // single-threaded service — the strongest possible isolation.
   std::vector<std::string> reference;
   for (const auto& config : configs) {
-    const Engine engine(config.cluster, FastOptions());
-    PlannerService service(engine, PlannerServiceOptions{.threads = 1});
-    reference.push_back(CanonicalResultText(
-        service.Plan(config.axes, config.reduction_axes)));
+    PlannerService service(ServiceOptions(1));
+    reference.push_back(CanonicalResultText(service.Plan(RequestFor(config))));
   }
 
   std::mt19937 rng(20260729);
@@ -544,52 +531,32 @@ TEST(MultiTenantService, CacheCountersAgreeAtEveryScope) {
   }
 }
 
-TEST(MultiTenantService, DefaultTenantAndExplicitClusterCoexist) {
-  // The compatibility constructor's borrowed engine is tenant 0; a request
-  // naming the same cluster (and options) resolves to it instead of
-  // constructing a second engine.
-  const Engine engine(topology::MakeA100Cluster(2), FastOptions());
-  PlannerService service(engine, PlannerServiceOptions{.threads = 2});
-  const auto implicit = service.Plan(std::vector<std::int64_t>{8, 4},
-                                     std::vector<int>{0});
-  PlanRequest explicit_request;
-  explicit_request.axes = {8, 4};
-  explicit_request.reduction_axes = {0};
-  explicit_request.cluster = topology::MakeA100Cluster(2);
-  const auto explicit_result = service.Plan(std::move(explicit_request));
-  EXPECT_EQ(CanonicalResultText(explicit_result),
-            CanonicalResultText(implicit));
-  const auto stats = service.stats();
-  EXPECT_EQ(stats.tenants.size(), 1u);
-  EXPECT_EQ(stats.engines_constructed, 0);  // the borrowed engine served both
-  EXPECT_EQ(stats.tenants[0].requests, 2);
-
-  // A *different* cluster still gets its own engine.
-  PlanRequest other;
-  other.axes = {8, 2};
-  other.reduction_axes = {0};
-  other.cluster = topology::MakeV100Cluster(2);
-  EXPECT_GT(service.Plan(std::move(other)).placements.size(), 0u);
-  EXPECT_EQ(service.stats().tenants.size(), 2u);
-  EXPECT_EQ(service.stats().engines_constructed, 1);
-}
-
-TEST(MultiTenantService, RequestWithoutClusterNeedsADefaultTenant) {
-  PlannerServiceOptions options;
-  options.engine = FastOptions();
-  PlannerService service(options);  // no default tenant
-  EXPECT_EQ(service.default_engine(), nullptr);
-  PlanRequest request;
-  request.axes = {8, 4};
-  request.reduction_axes = {0};
-  auto future = service.Submit(std::move(request));
-  EXPECT_THROW(future.get(), std::invalid_argument);
-  // The service survives and serves requests that do name a cluster.
-  PlanRequest good;
-  good.axes = {8, 4};
-  good.reduction_axes = {0};
-  good.cluster = topology::MakeA100Cluster(2);
-  EXPECT_GT(service.Plan(std::move(good)).placements.size(), 0u);
+TEST(MultiTenantService, RequestWithoutClusterFailsAtSubmit) {
+  for (const int threads : {1, 2}) {
+    PlannerService service(ServiceOptions(threads));
+    PlanRequest request = RequestFor(Config{{8, 4}, {0}});
+    request.cluster.reset();
+    PlanHandle handle = service.Submit(std::move(request));
+    // Failed at Submit: the handle is already ready, and no tenant was
+    // registered, no engine built and no request admitted or timed.
+    ASSERT_EQ(handle.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready)
+        << threads;
+    EXPECT_THROW(handle.get(), std::invalid_argument) << threads;
+    auto stats = service.stats();
+    EXPECT_TRUE(stats.tenants.empty()) << threads;
+    EXPECT_EQ(stats.engines_constructed, 0) << threads;
+    EXPECT_EQ(stats.peak_in_flight, 0) << threads;
+    EXPECT_EQ(stats.latency_count, 0) << threads;
+    EXPECT_EQ(stats.rejected, 0) << threads;
+    // The service survives and serves requests that do name a cluster.
+    EXPECT_GT(service.Plan(RequestFor(Config{{8, 4}, {0}})).placements.size(),
+              0u);
+    stats = service.stats();
+    ASSERT_EQ(stats.tenants.size(), 1u) << threads;
+    EXPECT_EQ(stats.tenants[0].requests, 1) << threads;
+    EXPECT_EQ(stats.engines_constructed, 1) << threads;
+  }
 }
 
 TEST(MultiTenantService, RingNodesDifferingOnlyInPcieGetTheirOwnEngines) {
@@ -605,13 +572,10 @@ TEST(MultiTenantService, RingNodesDifferingOnlyInPcieGetTheirOwnEngines) {
   const TenantConfig fast_config{fast, {8, 2}, {0}};
   const TenantConfig slow_config{slow, {8, 2}, {0}};
 
-  PlannerServiceOptions options;
-  options.threads = 1;
-  options.engine = FastOptions();
-  const Engine engine(slow, FastOptions());
-  PlannerService dedicated(engine, options);
-  const std::string expected = CanonicalResultText(
-      dedicated.Plan(slow_config.axes, slow_config.reduction_axes));
+  const PlannerServiceOptions options = ServiceOptions(1);
+  PlannerService dedicated(options);
+  const std::string expected =
+      CanonicalResultText(dedicated.Plan(RequestFor(slow_config)));
 
   PlannerService shared(options);
   shared.Plan(RequestFor(fast_config));
@@ -633,12 +597,9 @@ TEST(MultiTenantService, EngineForRegistersAndMemoizes) {
 }
 
 TEST(PlannerService, StatsAggregateOncePerService) {
-  const Engine engine(topology::MakeA100Cluster(2), FastOptions());
-  PlannerService service(engine, PlannerServiceOptions{.threads = 1});
-  const auto first = service.Plan(std::vector<std::int64_t>{8, 2, 2},
-                                  std::vector<int>{0});
-  const auto second = service.Plan(std::vector<std::int64_t>{8, 2, 2},
-                                   std::vector<int>{0});
+  PlannerService service(ServiceOptions(1));
+  const auto first = service.Plan(RequestFor(Config{{8, 2, 2}, {0}}));
+  const auto second = service.Plan(RequestFor(Config{{8, 2, 2}, {0}}));
   const auto stats = service.stats();
   EXPECT_EQ(stats.requests, 2);
   EXPECT_EQ(stats.cache.misses,

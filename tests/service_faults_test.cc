@@ -39,6 +39,13 @@ EngineOptions FastOptions() {
   return opts;
 }
 
+PlannerServiceOptions ServiceOptions(int threads = 1) {
+  PlannerServiceOptions options;
+  options.threads = threads;
+  options.engine = FastOptions();
+  return options;
+}
+
 struct Config {
   std::vector<std::int64_t> axes;
   std::vector<int> reduction_axes;
@@ -53,10 +60,12 @@ std::vector<Config> Configs() {
   };
 }
 
+// `config` on a 2-node A100 system.
 PlanRequest RequestFor(const Config& config) {
   PlanRequest request;
   request.axes = config.axes;
   request.reduction_axes = config.reduction_axes;
+  request.cluster = topology::MakeA100Cluster(2);
   return request;
 }
 
@@ -86,8 +95,7 @@ class StallGate {
 };
 
 TEST(ServiceFaults, DeadlineExpiresMidFlight) {
-  const Engine engine(topology::MakeA100Cluster(2), FastOptions());
-  PlannerService service(engine, PlannerServiceOptions{.threads = 2});
+  PlannerService service(ServiceOptions(2));
   // Every synthesis stage dawdles past the deadline; whichever checkpoint
   // the request reaches next classifies the abort as deadline-exceeded.
   FaultScope scope([](std::string_view point) {
@@ -109,8 +117,7 @@ TEST(ServiceFaults, DeadlineExpiresMidFlight) {
 }
 
 TEST(ServiceFaults, CancelAbortsMidFlightAndReleasesItsSlot) {
-  const Engine engine(topology::MakeA100Cluster(2), FastOptions());
-  PlannerService service(engine, PlannerServiceOptions{.threads = 2});
+  PlannerService service(ServiceOptions(2));
   StallGate gate;
   FaultScope scope(gate.Hook());
 
@@ -133,8 +140,7 @@ TEST(ServiceFaults, CancelAbortsMidFlightAndReleasesItsSlot) {
 }
 
 TEST(ServiceFaults, CancellingAFinishedRequestIsANoOp) {
-  const Engine engine(topology::MakeA100Cluster(2), FastOptions());
-  PlannerService service(engine, PlannerServiceOptions{.threads = 2});
+  PlannerService service(ServiceOptions(2));
   auto handle = service.Submit(RequestFor(Configs()[0]));
   handle.wait();
   handle.Cancel();  // completion beats abortion
@@ -143,11 +149,10 @@ TEST(ServiceFaults, CancellingAFinishedRequestIsANoOp) {
 }
 
 TEST(ServiceFaults, AdmissionRejectsBeyondTheServiceCap) {
-  const Engine engine(topology::MakeA100Cluster(2), FastOptions());
-  PlannerServiceOptions options;
+  PlannerServiceOptions options = ServiceOptions();
   options.threads = 2;
   options.max_in_flight = 1;
-  PlannerService service(engine, options);
+  PlannerService service(options);
   StallGate gate;
   FaultScope scope(gate.Hook());
 
@@ -171,11 +176,10 @@ TEST(ServiceFaults, AdmissionRejectsBeyondTheServiceCap) {
 }
 
 TEST(ServiceFaults, AdmissionRejectsBeyondThePerTenantCap) {
-  const Engine engine(topology::MakeA100Cluster(2), FastOptions());
-  PlannerServiceOptions options;
+  PlannerServiceOptions options = ServiceOptions();
   options.threads = 2;
   options.max_in_flight_per_tenant = 1;
-  PlannerService service(engine, options);
+  PlannerService service(options);
   StallGate gate;
   FaultScope scope(gate.Hook());
 
@@ -191,8 +195,7 @@ TEST(ServiceFaults, AdmissionRejectsBeyondThePerTenantCap) {
 }
 
 TEST(ServiceFaults, DrainWaitsForInFlightWorkThenRejectsNewSubmissions) {
-  const Engine engine(topology::MakeA100Cluster(2), FastOptions());
-  PlannerService service(engine, PlannerServiceOptions{.threads = 2});
+  PlannerService service(ServiceOptions(2));
   auto handle = service.Submit(RequestFor(Configs()[0]));
   service.BeginDrain();  // no grace: waits for the request
   EXPECT_TRUE(service.draining());
@@ -207,8 +210,7 @@ TEST(ServiceFaults, DrainWaitsForInFlightWorkThenRejectsNewSubmissions) {
 }
 
 TEST(ServiceFaults, DrainGraceCancelsStragglers) {
-  const Engine engine(topology::MakeA100Cluster(2), FastOptions());
-  PlannerService service(engine, PlannerServiceOptions{.threads = 2});
+  PlannerService service(ServiceOptions(2));
   std::atomic<bool> parked{false};
   // The straggler stalls until it sees the drain begin, lingers long enough
   // for the zero-grace cancel to land, then runs into its next checkpoint.
@@ -231,12 +233,11 @@ TEST(ServiceFaults, DrainGraceCancelsStragglers) {
 // returns byte-for-byte the result of a dedicated serial run — and after
 // the chaos the shared cache still serves correct results.
 TEST(ServiceFaults, RandomCancellationNeverPerturbsSurvivors) {
-  const Engine engine(topology::MakeA100Cluster(2), FastOptions());
   const auto configs = Configs();
 
   std::vector<std::string> reference;
   for (const auto& config : configs) {
-    PlannerService service(engine, PlannerServiceOptions{.threads = 1});
+    PlannerService service(ServiceOptions(1));
     reference.push_back(CanonicalResultText(service.Plan(RequestFor(config))));
   }
 
@@ -249,8 +250,7 @@ TEST(ServiceFaults, RandomCancellationNeverPerturbsSurvivors) {
       std::vector<bool> storm(configs.size());
       for (std::size_t i = 0; i < storm.size(); ++i) storm[i] = rng() % 2 == 0;
 
-      PlannerService service(engine,
-                             PlannerServiceOptions{.threads = threads});
+      PlannerService service(ServiceOptions(threads));
       std::vector<PlanHandle> handles(configs.size());
       for (const std::size_t index : order) {
         handles[index] = service.Submit(RequestFor(configs[index]));
@@ -284,10 +284,9 @@ TEST(ServiceFaults, RandomCancellationNeverPerturbsSurvivors) {
 TEST(ServiceFaults, InjectedSaveFailureIsReportedNotThrown) {
   const std::string path =
       p2::test::TempPath("p2_service_faults_test", "save_fault");
-  const Engine engine(topology::MakeA100Cluster(2), FastOptions());
-  PlannerServiceOptions options;
+  PlannerServiceOptions options = ServiceOptions();
   options.cache_file = path;
-  PlannerService service(engine, options);
+  PlannerService service(options);
   EXPECT_GT(service.Plan(RequestFor(Configs()[0])).placements.size(), 0u);
   {
     FaultScope scope([](std::string_view point) {
@@ -311,10 +310,9 @@ TEST(ServiceFaults, DrainTimeSaveFailureSurfacesInStats) {
   // endpoint and the report renderer surface it.
   const std::string path =
       p2::test::TempPath("p2_service_faults_test", "drain_save_fault");
-  const Engine engine(topology::MakeA100Cluster(2), FastOptions());
-  PlannerServiceOptions options;
+  PlannerServiceOptions options = ServiceOptions();
   options.cache_file = path;
-  PlannerService service(engine, options);
+  PlannerService service(options);
   EXPECT_GT(service.Plan(RequestFor(Configs()[0])).placements.size(), 0u);
   {
     FaultScope scope([](std::string_view point) {
@@ -334,12 +332,11 @@ TEST(ServiceFaults, DrainTimeSaveFailureSurfacesInStats) {
 TEST(ServiceFaults, InjectedLoadFailureFallsBackToAColdCache) {
   const std::string path =
       p2::test::TempPath("p2_service_faults_test", "load_fault");
-  const Engine engine(topology::MakeA100Cluster(2), FastOptions());
   // Seed a valid cache file.
   {
-    PlannerServiceOptions options;
+    PlannerServiceOptions options = ServiceOptions();
     options.cache_file = path;
-    PlannerService service(engine, options);
+    PlannerService service(options);
     EXPECT_GT(service.Plan(RequestFor(Configs()[0])).placements.size(), 0u);
     EXPECT_TRUE(service.SaveCache());
   }
@@ -348,10 +345,10 @@ TEST(ServiceFaults, InjectedLoadFailureFallsBackToAColdCache) {
   FaultScope scope([](std::string_view point) {
     if (point == "cache_store.load") throw std::runtime_error("disk died");
   });
-  PlannerServiceOptions options;
+  PlannerServiceOptions options = ServiceOptions();
   options.cache_file = path;
   options.cache_readonly = true;  // don't clobber the file on destruction
-  PlannerService service(engine, options);
+  PlannerService service(options);
   EXPECT_EQ(service.cache_load_status(), CacheLoadStatus::kIoError);
   EXPECT_NE(service.cache_load_message().find("injected fault"),
             std::string::npos);

@@ -61,7 +61,6 @@ int main(int argc, char** argv) {
   }
   if (drain_grace_ms >= 0) {
     service_options.drain_grace = std::chrono::milliseconds(drain_grace_ms);
-    server_options.drain_grace = service_options.drain_grace;
   }
   server_options.grant_ttl = std::chrono::milliseconds(grant_ttl_ms);
 
